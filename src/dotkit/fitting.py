@@ -1,8 +1,9 @@
 """Parameter estimation: g2 curve fits and spectral peak location.
 
 g2 fits minimize the error-weighted sum of squares between data and the
-forward model (convolved with the timing response) using a bounded
-Nelder-Mead simplex with randomized restarts. Spectral peaks are fit as
+forward model (convolved with the timing response) by bounded
+trust-region reflective least squares with randomized restarts; standard
+errors come from the Jacobian at the optimum. Spectral peaks are fit as
 pseudo-Voigt profiles over a constant background.
 """
 
@@ -15,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
-from scipy.optimize import Bounds
 from scipy.signal import find_peaks
 
 from .emitters import (
@@ -75,6 +75,10 @@ class FitSpec:
         if self.n_restarts < 1:
             raise ParameterError("need at least one start")
         for name, (guess, lo, hi) in self.free.items():
+            if not lo < hi:
+                raise ParameterError(
+                    f"bounds [{lo:g}, {hi:g}] of {name!r} leave no room; hold it in 'fixed'"
+                )
             if not lo <= guess <= hi:
                 raise ParameterError(
                     f"guess {guess:g} for {name!r} outside bounds [{lo:g}, {hi:g}]"
@@ -90,7 +94,12 @@ class ParamEstimate:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit parameters with curvature-based standard errors."""
+    """Best-fit parameters with standard errors from the fit's Jacobian.
+
+    ``residual_norm`` is the chi-square at the optimum, ``n_iterations``
+    the number of Jacobian evaluations of the winning start, and
+    ``history`` its chi-square after every iteration.
+    """
 
     estimates: dict[str, ParamEstimate]
     residual_norm: float
@@ -147,9 +156,8 @@ def evaluate_fit_model(spec: FitSpec, params: Mapping[str, float], delays) -> np
     return scale * np.interp(delays, blurred.delays, blurred.values)
 
 
-def _chi_square(data: G2Curve, spec: FitSpec, params: Mapping[str, float]) -> float:
-    model = evaluate_fit_model(spec, params, data.delays)
-    return float(np.sum(((data.values - model) / data.errors) ** 2))
+def _residuals(data: G2Curve, spec: FitSpec, params: Mapping[str, float]) -> np.ndarray:
+    return (data.values - evaluate_fit_model(spec, params, data.delays)) / data.errors
 
 
 def _check_fit_data(data: G2Curve, n_free: int) -> None:
@@ -164,7 +172,14 @@ def _check_fit_data(data: G2Curve, n_free: int) -> None:
         )
 
 
-def _minimize_restarts(objective, free, n_restarts, gen):
+def _fit_least_squares(residuals, free, n_restarts, gen) -> FitResult:
+    """Minimize the error-weighted residuals from the guess plus random starts.
+
+    Each start runs scipy's bounded trust-region reflective least squares;
+    the start with the lowest chi-square wins. Its final Jacobian J gives
+    the covariance (J^T J)^-1, the Gauss-Newton inverse of half the
+    chi-square Hessian.
+    """
     names = list(free)
     guesses = np.array([free[name][0] for name in names])
     lower = np.array([free[name][1] for name in names])
@@ -176,63 +191,19 @@ def _minimize_restarts(objective, free, n_restarts, gen):
     best_history: list[float] = []
     for start in starts:
         history: list[float] = []
-        result = scipy.optimize.minimize(
-            objective,
+        result = scipy.optimize.least_squares(
+            residuals,
             start,
-            method="Nelder-Mead",
-            bounds=Bounds(lower, upper),
-            options={
-                "maxiter": 400 * max(len(names), 1),
-                "xatol": 1e-7,
-                "fatol": 1e-10,
-                "adaptive": len(names) > 3,
-            },
-            callback=lambda xk: history.append(objective(xk)),
+            bounds=(lower, upper),
+            method="trf",
+            x_scale="jac",
+            callback=lambda intermediate_result: history.append(2.0 * intermediate_result.cost),
         )
-        if best is None or result.fun < best.fun:
+        if best is None or result.cost < best.cost:
             best = result
             best_history = history
-    return names, lower, upper, best, best_history
-
-
-def _curvature_errors(objective, x, lower, upper):
-    """Standard errors from a central-difference Hessian of the chi-square.
-
-    The evaluation point is nudged inside the bounds when the optimum sits
-    on one; covariance is 2 H^-1 for an error-weighted sum of squares.
-    """
-    n = x.size
-    h = np.maximum(1e-4 * (upper - lower), 1e-9)
-    x0 = np.clip(x, lower + h, upper - h)
-    f0 = objective(x0)
-    hessian = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        fpp = objective(x0 + ei)
-        fmm = objective(x0 - ei)
-        hessian[i, i] = (fpp - 2.0 * f0 + fmm) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            fij = objective(x0 + ei + ej)
-            fi_j = objective(x0 + ei - ej)
-            f_ij = objective(x0 - ei + ej)
-            f__ = objective(x0 - ei - ej)
-            hessian[i, j] = hessian[j, i] = (fij - fi_j - f_ij + f__) / (
-                4.0 * h[i] * h[j]
-            )
-    try:
-        cov = 2.0 * np.linalg.pinv(hessian)
-        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        stderr = np.full(n, np.nan)
-    return stderr
-
-
-def _package_result(names, lower, upper, best, history, objective) -> FitResult:
-    x = np.asarray(best.x, dtype=float)
-    stderr = _curvature_errors(objective, x, lower, upper)
+    x = best.x
+    stderr = np.sqrt(np.maximum(np.diag(np.linalg.pinv(best.jac.T @ best.jac)), 0.0))
     edge = 1e-9 + 1e-6 * (upper - lower)
     estimates = {
         name: ParamEstimate(
@@ -244,10 +215,10 @@ def _package_result(names, lower, upper, best, history, objective) -> FitResult:
     }
     return FitResult(
         estimates=estimates,
-        residual_norm=float(best.fun),
-        n_iterations=int(best.nit),
+        residual_norm=2.0 * float(best.cost),
+        n_iterations=int(best.njev),
         converged=bool(best.success),
-        history=tuple(history),
+        history=tuple(best_history),
     )
 
 
@@ -258,16 +229,13 @@ def fit_g2(data: G2Curve, spec: FitSpec, rng=None) -> FitResult:
     if not spec.free:
         raise ParameterError("no free parameters to fit")
 
-    def objective(theta):
+    def residuals(theta):
         params = dict(spec.fixed)
         params.update(zip(spec.free, theta))
-        return _chi_square(data, spec, params)
+        return _residuals(data, spec, params)
 
     gen = as_generator(rng if rng is not None else 0)
-    names, lower, upper, best, history = _minimize_restarts(
-        objective, spec.free, spec.n_restarts, gen
-    )
-    return _package_result(names, lower, upper, best, history, objective)
+    return _fit_least_squares(residuals, spec.free, spec.n_restarts, gen)
 
 
 def fit_g2_joint(
@@ -311,22 +279,19 @@ def fit_g2_joint(
 
     names = list(free)
 
-    def objective(theta):
+    def residuals(theta):
         by_name = dict(zip(names, theta))
-        total = 0.0
+        parts = []
         for data, spec, mapping in zip(datasets, specs, slots):
             params = dict(spec.fixed)
             for local, qualified in mapping.items():
                 params[local] = by_name[qualified]
-            total += _chi_square(data, spec, params)
-        return total
+            parts.append(_residuals(data, spec, params))
+        return np.concatenate(parts)
 
     gen = as_generator(rng if rng is not None else 0)
     n_restarts = max(spec.n_restarts for spec in specs)
-    names, lower, upper, best, history = _minimize_restarts(
-        objective, free, n_restarts, gen
-    )
-    return _package_result(names, lower, upper, best, history, objective)
+    return _fit_least_squares(residuals, free, n_restarts, gen)
 
 
 def joint_curve_params(result: FitResult, specs: Sequence[FitSpec]) -> list[dict[str, float]]:

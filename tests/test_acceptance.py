@@ -317,7 +317,7 @@ def test_criterion_6b_simultaneous_linewidth_recovery(matrix_histograms):
     joint fits.
 
     The Cramér–Rao bound of each fit is computed from the data model
-    (``_fisher_bound``) and first checked against the fitter's curvature
+    (``_fisher_bound``) and first checked against the fitter's Jacobian
     errors on a noise-free histogram; the verdict line prints it. At the
     matrix's 1e5 events per histogram the bound on (gamma_pd, sigma) lies
     above the 15%/20% tolerance on every set, so what 1e5 events can show
@@ -343,7 +343,7 @@ def test_criterion_6b_simultaneous_linewidth_recovery(matrix_histograms):
             }
     delays = matrix_histograms[0][0].delays
 
-    # The bound must match the fitter's own curvature errors at the optimum
+    # The bound must match the fitter's own Jacobian errors at the optimum
     # of noise-free data (the truth; the fit starts there).
     specs, shared, truth = _linewidth_joint_fit(sets[(0.0, "equal")].values(), 0.0)
     bound = _fisher_bound(delays, specs, shared, truth, 100_000)
@@ -358,7 +358,7 @@ def test_criterion_6b_simultaneous_linewidth_recovery(matrix_histograms):
         abs(check.estimates[name].stderr / bound[name] - 1) for name in ("gamma_pd", "sigma")
     )
     assert mismatch <= 0.02, (
-        f"Fisher bound and curvature errors differ by {mismatch*100:.1f}% on "
+        f"Fisher bound and Jacobian errors differ by {mismatch*100:.1f}% on "
         f"noise-free data; the bound is not the fit's"
     )
 
@@ -415,7 +415,7 @@ def test_criterion_6b_simultaneous_linewidth_recovery(matrix_histograms):
         f"bound on gamma_pd/sigma at 1e5 events: resonant {span(0.0, 'gamma_pd', 2.5)}/"
         f"{span(0.0, 'sigma', 1.0)}, 20 ueV {span(20.0, 'gamma_pd', 2.5)}/"
         f"{span(20.0, 'sigma', 1.0)}, 46 ueV {span(46.0, 'gamma_pd', 2.5)}/"
-        f"{span(46.0, 'sigma', 1.0)} (curvature errors agree within "
+        f"{span(46.0, 'sigma', 1.0)} (Jacobian errors agree within "
         f"{mismatch*100:.2g}%); worst estimate {worst_se:.1f} <= 3 bound errors; "
         f"at {n_events:.3g} events resonant gamma_pd error {worst_gpd*100:.1f}% <= 15%, "
         f"sigma error {worst_sigma*100:.1f}% <= 20%",

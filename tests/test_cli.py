@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import yaml
+from scipy.special import ndtri
 
 import dotkit as dk
-from dotkit.cli import main
+from dotkit.cli import _oracle_report, main
 
 E0 = 1_300_000.0
 
@@ -134,6 +135,27 @@ class TestCmdSimulate:
         assert report["oracle_pass"] == "1"
         for name in ("mc_curve.tsv", "histogram.tsv", "normalized.tsv", "config.yaml"):
             assert (out / name).exists()
+
+    def test_oracle_pass_tolerates_chance_pulls(self):
+        # A correct oracle's largest pull over 61 delays exceeds 3 sigma in
+        # roughly one run in ten, so the pass threshold is corrected for the
+        # number of delays (1% family-wise false alarms).
+        tau = np.linspace(-3.0, 3.0, 61)
+        analytic = np.ones(tau.size)
+        errors = np.full(tau.size, 0.01)
+        threshold = ndtri(1.0 - 0.005 / tau.size)
+
+        def report(largest, others):
+            pulls = np.full(tau.size, others)
+            pulls[30] = largest
+            curve = dk.G2Curve(tau, analytic + pulls * errors, errors)
+            return dict(line.split(" = ") for line in _oracle_report(curve, analytic, 1000))
+
+        under = report(0.999 * threshold, 3.1)
+        assert float(under["pull_threshold_sigma"]) == pytest.approx(threshold, rel=1e-5)
+        assert under["n_beyond_3sigma"] == "61"
+        assert under["oracle_pass"] == "1"
+        assert report(1.001 * threshold, 0.0)["oracle_pass"] == "0"
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_yaml(tmp_path / "sim.yaml", self.simulate_config())

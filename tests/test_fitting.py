@@ -43,6 +43,10 @@ class TestFitSpecValidation:
         with pytest.raises(dk.ParameterError):
             dk.FitSpec(fixed={"n": 2}, free={"gamma": (10.0, 0.1, 5.0)})
 
+    def test_free_parameter_needs_room(self):
+        with pytest.raises(dk.ParameterError):
+            dk.FitSpec(fixed={"n": 2}, free={"gamma": (1.0, 1.0, 1.0)})
+
 
 class TestFitG2:
     def test_zero_noise_self_fit(self, resonant_pair):
@@ -102,6 +106,21 @@ class TestFitG2:
         history = np.asarray(result.history)
         assert history.size > 0
         assert np.all(np.diff(history) <= 1e-9)
+
+    def test_estimate_pinned_on_bound(self):
+        # True scale is 1; bounds that exclude it pin the estimate on the
+        # lower bound, where the errors must still be usable numbers.
+        data = synthetic_curve(2, 2.0, seed=7002)
+        spec = dk.FitSpec(
+            fixed={"n": 2, "delta_ueV": 0.0, "gamma_pd": REF_GAMMA_PD, "sigma": REF_SIGMA},
+            free={"gamma": (1.2, 0.05, 10.0), "scale": (1.07, 1.05, 1.1)},
+            irf=IRF,
+        )
+        result = dk.fit_g2(data, spec, rng=dk.RngSeed(5))
+        assert result.estimates["scale"].at_bound
+        assert result.estimates["scale"].value == pytest.approx(1.05, abs=1e-6)
+        for est in result.estimates.values():
+            assert np.isfinite(est.stderr) and est.stderr >= 0.0
 
     def test_requires_errors_and_information(self, resonant_pair):
         tau = np.linspace(-5.0, 5.0, 401)
@@ -165,6 +184,43 @@ class TestJointFit:
         per_curve = dk.joint_curve_params(result, specs)
         assert per_curve[0]["gamma_pd"] == per_curve[1]["gamma_pd"]
         assert per_curve[0]["gamma"] != per_curve[1]["gamma"]
+
+    def test_objective_evaluation_budget(self, monkeypatch):
+        # The benchmark's fit: three 1e5-event curves, one shared sigma,
+        # per-curve gamma and scale, one start. A least-squares fit of these
+        # seven parameters needs a few hundred model evaluations at most.
+        datasets, specs = [], []
+        for k, (n, gamma) in enumerate(((1, 1.9), (2, 2.0), (3, 1.4))):
+            system = dk.identical_system(n, gamma, REF_GAMMA_PD, REF_SIGMA)
+            model = dk.G2Curve(MODEL_GRID, dk.g2_general(system, MODEL_GRID))
+            hist = dk.sample_coincidences(
+                model, 100_000, 10.0, IRF, dk.RngSeed(7200 + k), bin_width=0.02
+            )
+            datasets.append(dk.normalize_histogram(hist))
+            specs.append(
+                dk.FitSpec(
+                    fixed={"n": n, "delta_ueV": 0.0, "gamma_pd": REF_GAMMA_PD},
+                    free={
+                        "sigma": (1.0, 0.01, 5.0),
+                        "gamma": (1.2, 0.05, 10.0),
+                        "scale": (1.0, 0.9, 1.1),
+                    },
+                    irf=IRF,
+                    n_restarts=1,
+                )
+            )
+        calls = 0
+        evaluate = dk.fitting.evaluate_fit_model
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(dk.fitting, "evaluate_fit_model", counting)
+        result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
+        assert result.converged
+        assert calls <= 400
 
     def test_shared_name_must_be_free_everywhere(self):
         datasets = [synthetic_curve(2, 2.0, seed=7102, n_events=20_000)] * 2
