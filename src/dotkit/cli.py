@@ -30,7 +30,7 @@ from .emitters import (
     read_curve,
     write_curve,
 )
-from .errors import ConfigError, DotkitError
+from .errors import ConfigError, DotkitError, ParameterError
 from .fitting import (
     FitSpec,
     evaluate_fit_model,
@@ -244,14 +244,28 @@ def _validate_tune(section):
         targets = section.get("targets")
         if not isinstance(targets, list) or len(targets) < 2:
             raise ConfigError("config.tune.targets: need >= 2 emitter indices")
+        for t in targets:
+            if isinstance(t, bool) or not isinstance(t, int):
+                raise ConfigError(f"config.tune.targets: expected integer indices, got {t!r}")
+        if len(set(targets)) != len(targets):
+            raise ConfigError(f"config.tune.targets: indices must be distinct, got {targets}")
     else:
         _integer(section, "emitter_index", "config.tune", required=True)
         _number(section, "target_ueV", "config.tune", required=True)
     _number(section, "tolerance_ueV", "config.tune", required=True)
+    _integer(section, "max_exposures", "config.tune")
     if "plant" in section:
-        _check_keys(section["plant"], PLANT_KEYS, "config.tune.plant")
+        plant = section["plant"]
+        _check_keys(plant, PLANT_KEYS, "config.tune.plant")
+        for key in plant:
+            _number(plant, key, "config.tune.plant")
     if "meter" in section:
-        _check_keys(section["meter"], METER_KEYS, "config.tune.meter")
+        meter = section["meter"]
+        _check_keys(meter, METER_KEYS, "config.tune.meter")
+        for key in sorted(METER_KEYS - {"instrument"}):
+            value = _number(meter, key, "config.tune.meter")
+            if value is not None and not value > 0:
+                raise ConfigError(f"config.tune.meter.{key}: must be > 0, got {value:g}")
 
 
 def _build_system(config) -> EmitterSystem:
@@ -479,9 +493,26 @@ def cmd_tune(config, outdir: Path) -> None:
     meter = EnergyMeter(
         instrument=instrument,
         snr=float(meter_cfg.get("snr", 200.0)),
-        half_window=float(meter_cfg.get("half_window_ueV", 60.0)),
-        step=float(meter_cfg["step_ueV"]) if "step_ueV" in meter_cfg else None,
+        half_window=_number(meter_cfg, "half_window_ueV", "config.tune.meter"),
+        step=_number(meter_cfg, "step_ueV", "config.tune.meter"),
     )
+    if section.get("mode", "align") == "single":
+        targets = [int(section["emitter_index"])]
+    else:
+        targets = [int(t) for t in section["targets"]]
+    for k in targets:
+        if not 0 <= k < len(system):
+            raise ConfigError(
+                f"config.tune: emitter index {k} is outside the system's "
+                f"{len(system)} emitters (0..{len(system) - 1})"
+            )
+        try:
+            meter.window(system.emitters[k])
+        except ParameterError as err:
+            raise ConfigError(
+                f"config.tune.meter.half_window_ueV: emitter {k}: {err}; omit it to "
+                f"derive the window from the line"
+            ) from err
     state = PlantState(system)
     seed = RngSeed(int(config.get("seed", 0)))
     gen = seed.generator()
@@ -496,16 +527,14 @@ def cmd_tune(config, outdir: Path) -> None:
         log = tune_to_target(
             state,
             plant_cfg,
-            int(section["emitter_index"]),
+            targets[0],
             float(section["target_ueV"]),
             tolerance,
             max_exposures,
             rng=gen,
             meter=meter,
         )
-        targets = [int(section["emitter_index"])]
     else:
-        targets = [int(t) for t in section["targets"]]
         log = align_resonance(
             state, plant_cfg, targets, tolerance, max_exposures, rng=gen, meter=meter
         )

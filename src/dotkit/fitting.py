@@ -1,10 +1,13 @@
 """Parameter estimation: g2 curve fits and spectral peak location.
 
-g2 fits minimize the error-weighted sum of squares between data and the
-forward model (convolved with the timing response) by bounded
-trust-region reflective least squares with randomized restarts; standard
-errors come from the Jacobian at the optimum. Spectral peaks are fit as
-pseudo-Voigt profiles over a constant background.
+Both run on one estimator, bounded trust-region reflective least squares
+(``_fit_least_squares``), with standard errors from the Jacobian at the
+optimum. g2 fits minimize the error-weighted sum of squares between data
+and the forward model (convolved with the timing response) from the guess
+plus randomized restarts, with a finite-difference Jacobian. Spectral
+peaks are fit as pseudo-Voigt profiles over a constant background from
+one start with an analytic Jacobian; having no per-point errors, their
+covariance is scaled by the residual variance.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
-from scipy.signal import find_peaks
+from scipy.signal import find_peaks, peak_widths
 
 from .emitters import (
     EmitterSystem,
@@ -172,13 +175,15 @@ def _check_fit_data(data: G2Curve, n_free: int) -> None:
         )
 
 
-def _fit_least_squares(residuals, free, n_restarts, gen) -> FitResult:
+def _fit_least_squares(residuals, free, n_restarts, gen, jac="2-point") -> FitResult:
     """Minimize the error-weighted residuals from the guess plus random starts.
 
-    Each start runs scipy's bounded trust-region reflective least squares;
-    the start with the lowest chi-square wins. Its final Jacobian J gives
-    the covariance (J^T J)^-1, the Gauss-Newton inverse of half the
-    chi-square Hessian.
+    Each start runs scipy's bounded trust-region reflective least squares,
+    with ``jac`` either a callable returning the residuals' Jacobian or
+    scipy's finite-difference scheme; the start with the lowest chi-square
+    wins. Its final Jacobian J gives the covariance (J^T J)^-1, the
+    Gauss-Newton inverse of half the chi-square Hessian. ``gen`` draws the
+    random starts and may be None when ``n_restarts`` is 1.
     """
     names = list(free)
     guesses = np.array([free[name][0] for name in names])
@@ -194,6 +199,7 @@ def _fit_least_squares(residuals, free, n_restarts, gen) -> FitResult:
         result = scipy.optimize.least_squares(
             residuals,
             start,
+            jac=jac,
             bounds=(lower, upper),
             method="trf",
             x_scale="jac",
@@ -309,10 +315,13 @@ def joint_curve_params(result: FitResult, specs: Sequence[FitSpec]) -> list[dict
 
 def pseudo_voigt(x, center: float, fwhm: float, eta: float):
     """Height-normalized pseudo-Voigt line: eta Lorentzian + (1-eta) Gaussian."""
-    z = (np.asarray(x, dtype=float) - center) / fwhm
-    lorentz = 1.0 / (1.0 + 4.0 * z**2)
-    gauss = np.exp(-4.0 * math.log(2.0) * z**2)
+    lorentz, gauss = _line_shapes((np.asarray(x, dtype=float) - center) / fwhm)
     return eta * lorentz + (1.0 - eta) * gauss
+
+
+def _line_shapes(z):
+    """Unit-height Lorentzian and Gaussian at z = (x - center) / fwhm."""
+    return 1.0 / (1.0 + 4.0 * z**2), np.exp(-4.0 * math.log(2.0) * z**2)
 
 
 @dataclass(frozen=True)
@@ -325,25 +334,47 @@ class PeakFit:
     amplitude: float
 
 
-def _peak_model(n_peaks):
-    def model(x, *theta):
-        background, eta = theta[0], theta[1]
-        out = np.full_like(np.asarray(x, dtype=float), background)
-        for p in range(n_peaks):
-            center, width, height = theta[2 + 3 * p : 5 + 3 * p]
-            out = out + height * pseudo_voigt(x, center, width, eta)
-        return out
+def _peak_model(theta, x):
+    """Background plus pseudo-Voigt peaks, and the model's Jacobian.
 
-    return model
+    ``theta`` is (background, eta, center_0, fwhm_0, height_0, ...), with
+    one shared Lorentzian fraction ``eta``.
+    """
+    background, eta = theta[0], theta[1]
+    model = np.full_like(x, background)
+    jac = np.empty((x.size, theta.size))
+    jac[:, 0] = 1.0
+    jac[:, 1] = 0.0
+    for p in range(2, theta.size, 3):
+        center, width, height = theta[p : p + 3]
+        z = (x - center) / width
+        lorentz, gauss = _line_shapes(z)
+        shape = eta * lorentz + (1.0 - eta) * gauss
+        # d(shape)/dz, using dL/dz = -8 z L^2 and dG/dz = -8 ln2 z G
+        slope = -8.0 * z * (eta * lorentz**2 + (1.0 - eta) * math.log(2.0) * gauss)
+        model += height * shape
+        jac[:, 1] += height * (lorentz - gauss)
+        jac[:, p] = -height * slope / width
+        jac[:, p + 1] = -height * slope * z / width
+        jac[:, p + 2] = shape
+    return model, jac
 
 
 def _initial_peaks(x, y, n_peaks, instrument_fwhm):
+    """Center and FWHM guesses for ``n_peaks`` lines, sorted by center.
+
+    When ``find_peaks`` resolves every requested line, each width guess is
+    its measured half-maximum width; otherwise all widths start at 1.2
+    instrument resolutions.
+    """
     min_distance = max(int(instrument_fwhm / (x[1] - x[0])), 1)
-    idx, props = find_peaks(y, prominence=0.05 * np.ptp(y), distance=min_distance)
-    if idx.size:
-        order = np.argsort(y[idx])[::-1]
-        idx = idx[order][:n_peaks]
-    guesses = list(np.sort(x[idx]))
+    idx, _ = find_peaks(y, prominence=0.05 * np.ptp(y), distance=min_distance)
+    idx = np.sort(idx[np.argsort(y[idx])[::-1]][:n_peaks])
+    widths = np.full(n_peaks, 1.2 * instrument_fwhm)
+    if idx.size == n_peaks:
+        measured = peak_widths(y, idx, rel_height=0.5)[0] * (x[1] - x[0])
+        widths = np.maximum(measured, widths)
+    guesses = list(x[idx])
     anchor = guesses[0] if guesses else float(x[np.argmax(y)])
     offset = 1
     while len(guesses) < n_peaks:
@@ -352,7 +383,24 @@ def _initial_peaks(x, y, n_peaks, instrument_fwhm):
         side = instrument_fwhm * ((offset + 1) // 2) * (1 if offset % 2 else -1)
         guesses.append(float(np.clip(anchor + side, x[0], x[-1])))
         offset += 1
-    return sorted(guesses[:n_peaks])
+    return sorted(guesses), widths
+
+
+def _peak_start(x, y, n_peaks: int, instrument_fwhm: float):
+    """Starting point and bounds of a peak fit, keyed by parameter name."""
+    background = float(np.percentile(y, 5))
+    span = float(x[-1] - x[0])
+    free = {
+        "background": (background, 0.0, max(float(y.max()), 1e-30)),
+        "eta": (0.3, 0.0, 1.0),
+    }
+    centers, widths = _initial_peaks(x, y, n_peaks, instrument_fwhm)
+    for p, (center, width) in enumerate(zip(centers, widths)):
+        height = max(float(np.interp(center, x, y)) - background, 1e-3 * np.ptp(y))
+        free[f"center{p}"] = (float(center), float(x[0]), float(x[-1]))
+        free[f"fwhm{p}"] = (min(float(width), span), 0.3 * instrument_fwhm, span)
+        free[f"height{p}"] = (height, 0.0, 2.0 * float(np.ptp(y)) + 1e-30)
+    return free
 
 
 def fit_spectrum_peaks(
@@ -362,46 +410,51 @@ def fit_spectrum_peaks(
 ) -> list[PeakFit]:
     """Locate emission lines as pseudo-Voigt peaks over a flat background.
 
-    Returns peaks sorted by center. Warns with
-    :class:`OverlappingPeaksWarning` when two centers fall within one
-    instrument resolution of each other.
+    Returns peaks sorted by center, with ``center_err`` from the fit's
+    covariance scaled by the residual variance (the spectrum carries no
+    per-point errors). Warns with :class:`OverlappingPeaksWarning` when two
+    centers fall within one instrument resolution of each other.
     """
     if n_peaks < 1:
         raise ParameterError(f"need n_peaks >= 1, got {n_peaks}")
     if instrument_fwhm is None:
         instrument_fwhm = spectrum.instrument.resolution_fwhm
-    x, y = spectrum.energies, spectrum.intensities
     if spectrum.step > instrument_fwhm / 3.0 + 1e-12:
         raise ParameterError("spectrum grid must be finer than instrument_fwhm/3")
 
-    background = float(np.percentile(y, 5))
-    span = float(x[-1] - x[0])
-    p0 = [background, 0.3]
-    lower = [0.0, 0.0]
-    upper = [max(float(y.max()), 1e-30), 1.0]
-    for center in _initial_peaks(x, y, n_peaks, instrument_fwhm):
-        height = max(float(np.interp(center, x, y)) - background, 1e-3 * np.ptp(y))
-        p0 += [center, 1.2 * instrument_fwhm, height]
-        lower += [float(x[0]), 0.3 * instrument_fwhm, 0.0]
-        upper += [float(x[-1]), span, 2.0 * float(np.ptp(y)) + 1e-30]
-    try:
-        popt, pcov = scipy.optimize.curve_fit(
-            _peak_model(n_peaks),
-            x,
-            y,
-            p0=p0,
-            bounds=(lower, upper),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitFailureError(f"peak fit did not converge: {exc}") from exc
-    perr = np.sqrt(np.maximum(np.diag(pcov), 0.0))
+    # Fit in offsets from the grid midpoint: the optimizer's relative step
+    # tolerance then acts on ueV-scale centers, not on ~1e6 ueV energies.
+    origin = 0.5 * (spectrum.energies[0] + spectrum.energies[-1])
+    x, y = spectrum.energies - origin, spectrum.intensities
+    free = _peak_start(x, y, n_peaks, instrument_fwhm)
+    # scipy asks for the Jacobian at the point whose residuals it just
+    # computed; keep the last evaluation so each point costs one model call.
+    last = {}
+
+    def evaluate(theta):
+        key = theta.tobytes()
+        if last.get("key") != key:
+            last["key"] = key
+            last["model"], last["jac"] = _peak_model(theta, x)
+        return last
+
+    result = _fit_least_squares(
+        lambda theta: evaluate(theta)["model"] - y,
+        free,
+        n_restarts=1,
+        gen=None,
+        jac=lambda theta: evaluate(theta)["jac"],
+    )
+    if not result.converged:
+        raise FitFailureError("peak fit did not converge")
+    variance_scale = math.sqrt(result.residual_norm / max(x.size - len(free), 1))
+    est = result.estimates
     peaks = [
         PeakFit(
-            center=float(popt[2 + 3 * p]),
-            center_err=float(perr[2 + 3 * p]),
-            fwhm=float(popt[3 + 3 * p]),
-            amplitude=float(popt[4 + 3 * p]),
+            center=origin + est[f"center{p}"].value,
+            center_err=est[f"center{p}"].stderr * variance_scale,
+            fwhm=est[f"fwhm{p}"].value,
+            amplitude=est[f"height{p}"].value,
         )
         for p in range(n_peaks)
     ]

@@ -16,6 +16,7 @@ from scipy.special import voigt_profile
 from .emitters import (
     GAUSSIAN_FWHM_SIGMA,
     HBAR_UEV_NS,
+    Emitter,
     EmitterSystem,
     fwhm_from_sigma,
 )
@@ -90,6 +91,20 @@ def line_fwhm(gamma: float, gamma_pd: float, sigma: float, instrument_fwhm: floa
     return 0.5346 * f_lor + np.sqrt(0.2166 * f_lor**2 + f_gauss**2)
 
 
+# A scan grid must span every line center by this many linewidths each side.
+COVERAGE_LINEWIDTHS = 10.0
+
+
+def coverage_half_width(emitter: Emitter, instrument: Instrument, play: float = 0.0) -> float:
+    """Half-width (ueV) of the grid :func:`synth_spectrum` needs around one line.
+
+    That is +-10 linewidths of the line through the instrument, plus
+    ``play`` further linewidths of room for the line to sit off center.
+    """
+    width = line_fwhm(emitter.gamma, emitter.gamma_pd, emitter.sigma, instrument.resolution_fwhm)
+    return float((COVERAGE_LINEWIDTHS + play) * width)
+
+
 def synth_spectrum(
     system: EmitterSystem,
     instrument: Instrument,
@@ -101,15 +116,16 @@ def synth_spectrum(
 
     ``noise_snr`` is the ratio of the peak intensity to the additive
     Gaussian noise level; infinite means noiseless. The grid must cover
-    every line center by +-10 linewidths.
+    every line center by +-10 linewidths (:func:`coverage_half_width`).
     """
     grid = np.asarray(grid, dtype=float)
     for e in system.emitters:
-        width = line_fwhm(e.gamma, e.gamma_pd, e.sigma, instrument.resolution_fwhm)
-        if grid[0] > e.energy - 10 * width or grid[-1] < e.energy + 10 * width:
+        half = coverage_half_width(e, instrument)
+        if grid[0] > e.energy - half or grid[-1] < e.energy + half:
             raise GridCoverageError(
                 f"grid [{grid[0]:g}, {grid[-1]:g}] ueV does not cover the line at "
-                f"{e.energy:g} ueV by +-10 linewidths ({width:g} ueV)"
+                f"{e.energy:g} ueV by +-{COVERAGE_LINEWIDTHS:g} linewidths "
+                f"({half / COVERAGE_LINEWIDTHS:g} ueV)"
             )
     intensity = np.zeros_like(grid)
     for e in system.emitters:

@@ -8,7 +8,9 @@ irreversible (blue only); the reversible knob is the linear Stark bias.
 
 The controller measures energies the way the experiment does: it
 synthesizes a windowed high-resolution scan of one emitter at a time
-(the others gated away via Stark bias) and fits the line center.
+(the others gated away via Stark bias) and fits the line center. The
+exposure journal records, per pulse, the meter's rescans (window
+widenings plus recenters).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .fitting import fit_spectrum_peaks
 from .montecarlo import as_generator
-from .spectra import Instrument, synth_spectrum
+from .spectra import COVERAGE_LINEWIDTHS, Instrument, coverage_half_width, synth_spectrum
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,7 @@ class ExposureRecord:
     pulse: ExposurePulse
     energies: dict[int, float]  # measured energies after the pulse, by index
     spectra: tuple[str, ...] = ()
+    rescans: int = 0  # window widenings plus recenters during this record's scans
 
 
 @dataclass
@@ -225,21 +228,32 @@ def stark_shift(e: Emitter, bias: float, reference_bias: float = 0.0) -> float:
     return e.stark_coeff * (bias - reference_bias)
 
 
+# Room, in linewidths, that the meter's derived scan window leaves beyond
+# the spectrometer's coverage rule for the line to sit off the expected center.
+WINDOW_PLAY_LINEWIDTHS = 2.0
+
+
 class EnergyMeter:
     """Measurement-in-the-loop line readout.
 
     Synthesizes a windowed scan of a single emitter through the
     high-resolution interferometer (the other emitters Stark-gated out of
     the window), fits one pseudo-Voigt line and returns its center. The
-    scan window tracks the previous estimate; when the line walks out of
-    the window the meter widens the scan and retries.
+    scan is centered on the expected (or previous) energy and spans
+    +-``half_window`` ueV. By default (``None``) the window is derived from
+    the line: the +-10-linewidth coverage :func:`synth_spectrum` needs plus
+    2 linewidths of play. An explicit ``half_window`` below that coverage
+    is rejected. When the line has jumped out of the window the meter
+    widens the scan 4x and retries; when it sits near the window edge it
+    recenters and rescans. ``last_rescans`` counts both for the latest
+    reading.
     """
 
     def __init__(
         self,
         instrument: Instrument | None = None,
         snr: float = 200.0,
-        half_window: float = 60.0,
+        half_window: float | None = None,
         step: float | None = None,
     ):
         self.instrument = instrument or Instrument.fabry_perot()
@@ -249,6 +263,19 @@ class EnergyMeter:
         self.last: dict[int, float] = {}
         self.counter = 0
         self.last_ref = ""
+        self.last_rescans = 0
+
+    def window(self, emitter: Emitter) -> float:
+        """Half-width (ueV) of the first scan of ``emitter``'s line."""
+        if self.half_window is None:
+            return coverage_half_width(emitter, self.instrument, WINDOW_PLAY_LINEWIDTHS)
+        coverage = coverage_half_width(emitter, self.instrument)
+        if self.half_window < coverage:
+            raise ParameterError(
+                f"half_window {self.half_window:g} ueV is below the {coverage:g} ueV "
+                f"a scan needs to cover the line (+-{COVERAGE_LINEWIDTHS:g} linewidths)"
+            )
+        return self.half_window
 
     def measure(self, state: PlantState, index: int, rng, expected: float | None = None) -> float:
         gen = as_generator(rng)
@@ -262,8 +289,8 @@ class EnergyMeter:
             sigma=e.sigma,
             intensity=e.intensity,
         )
-        half = self.half_window
-        for _ in range(6):
+        half = self.window(line)
+        for rescans in range(6):
             grid = np.arange(center - half, center + half + 0.5 * self.step, self.step)
             try:
                 spectrum = synth_spectrum(
@@ -271,6 +298,7 @@ class EnergyMeter:
                 )
                 peak = fit_spectrum_peaks(spectrum, 1)[0]
             except GridCoverageError:
+                # The line jumped out of the window; widen and retry.
                 half *= 4.0
                 continue
             if abs(peak.center - center) > 0.8 * half:
@@ -279,6 +307,7 @@ class EnergyMeter:
                 continue
             self.counter += 1
             self.last_ref = f"scan{self.counter:05d}"
+            self.last_rescans = rescans
             self.last[index] = peak.center
             return peak.center
         raise GridCoverageError(f"lost the line of emitter {index} while scanning")
@@ -396,11 +425,13 @@ def _tune_loop(
         refs = []
         measured[index] = meter.measure(state, index, gen, expected=energy + step)
         refs.append(meter.last_ref)
+        rescans = meter.last_rescans
         for other in measure_all:
             if other != index:
                 measured[other] = meter.measure(state, other, gen)
                 refs.append(meter.last_ref)
-        log.append(ExposureRecord(pulse, dict(measured), tuple(refs)))
+                rescans += meter.last_rescans
+        log.append(ExposureRecord(pulse, dict(measured), tuple(refs), rescans))
         observed = measured[index] - energy
         dose = (pulse.power - cfg.threshold_at(site)) * pulse.duration
         if observed > 3.0 * cfg.step_noise and dose > 0:
@@ -539,26 +570,30 @@ def write_journal(path, log: ExposureLog) -> None:
     """Serialize the audit trail, one record per pulse."""
     lines = [
         "# exposure journal",
-        "# n site_um power_mW duration_s energies(idx=ueV;...) spectra",
+        "# n site_um power_mW duration_s energies(idx=ueV;...) spectra rescans",
     ]
     for m, rec in enumerate(log.records, start=1):
         energies = ";".join(f"{k}={v:.10g}" for k, v in sorted(rec.energies.items()))
         spectra = ",".join(rec.spectra) if rec.spectra else "-"
         lines.append(
             f"{m}\t{rec.pulse.site:.10g}\t{rec.pulse.power:.10g}\t"
-            f"{rec.pulse.duration:.10g}\t{energies}\t{spectra}"
+            f"{rec.pulse.duration:.10g}\t{energies}\t{spectra}\t{rec.rescans}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_journal(path) -> ExposureLog:
-    """Parse a journal back into an equivalent log for audit replay."""
+    """Parse a journal back into an equivalent log for audit replay.
+
+    Journals written before the ``rescans`` column existed read with
+    ``rescans = 0``.
+    """
     log = ExposureLog()
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        _, site, power, duration, energies, spectra = line.split("\t")
+        _, site, power, duration, energies, spectra, *rescans = line.split("\t")
         record = ExposureRecord(
             pulse=ExposurePulse(float(site), float(power), float(duration)),
             energies={
@@ -567,6 +602,7 @@ def read_journal(path) -> ExposureLog:
                 if item
             },
             spectra=tuple(spectra.split(",")) if spectra != "-" else (),
+            rescans=int(rescans[0]) if rescans else 0,
         )
         log.append(record)
     return log

@@ -323,3 +323,73 @@ class TestCmdTune:
         out = tmp_path / "out"
         assert run_cli("tune", "--config", path, "--seed", "3", "--out", str(out)) == 0
         assert len(dk.read_journal(out / "journal.txt")) == 0
+
+
+class TestCmdTuneValidation:
+    tune_config = TestCmdTune.tune_config
+
+    def run_expecting_config_error(self, tmp_path, capsys, config):
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        assert run_cli("tune", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("targets", [[0, 5], [-1, 0], [1, 1], [0, "one"]])
+    def test_bad_align_targets(self, tmp_path, capsys, targets):
+        config = self.tune_config()
+        config["tune"]["targets"] = targets
+        self.run_expecting_config_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_bad_single_emitter_index(self, tmp_path, capsys, index):
+        config = self.tune_config()
+        config["tune"] = {
+            "mode": "single",
+            "emitter_index": index,
+            "target_ueV": E0 + 100.0,
+            "tolerance_ueV": 2.0,
+        }
+        self.run_expecting_config_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("meter", {"snr": "fast"}),
+            ("meter", {"half_window_ueV": "wide"}),
+            ("meter", {"step_ueV": 0.0}),
+            ("meter", {"resolution_fwhm_ueV": -2.4}),
+            ("plant", {"step_noise": "loud"}),
+        ],
+    )
+    def test_non_numeric_tune_values(self, tmp_path, capsys, section, values):
+        config = self.tune_config()
+        config["tune"][section] = values
+        self.run_expecting_config_error(tmp_path, capsys, config)
+
+    def test_infeasible_window_rejected(self, tmp_path, capsys):
+        # The README emitters' Fabry-Perot lines are 12.19 ueV wide: a scan
+        # must span +-121.9 ueV, which 60 ueV cannot.
+        config = self.tune_config()
+        config["tune"]["meter"] = {"half_window_ueV": 60.0}
+        self.run_expecting_config_error(tmp_path, capsys, config)
+
+    def test_configured_window_honoured(self, tmp_path, monkeypatch):
+        spans = []
+        original = dk.tuning.synth_spectrum
+
+        def recording(system, instrument, grid, *args, **kwargs):
+            spans.append(grid[-1] - grid[0])
+            return original(system, instrument, grid, *args, **kwargs)
+
+        monkeypatch.setattr(dk.tuning, "synth_spectrum", recording)
+        config = self.tune_config()
+        config["tune"]["meter"] = {"half_window_ueV": 180.0}
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", path, "--seed", "9", "--out", str(out)) == 0
+        log = dk.read_journal(out / "journal.txt")
+        assert len(log) > 0
+        assert all(record.rescans == 0 for record in log)
+        assert len(spans) >= sum(len(record.spectra) for record in log)
+        np.testing.assert_allclose(spans, 360.0, atol=1e-6)

@@ -1,11 +1,16 @@
 """g2 fitting, joint fits, and spectral peak location."""
 
 
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotkit as dk
-from dotkit.fitting import OverlappingPeaksWarning
+from dotkit.fitting import OverlappingPeaksWarning, _peak_model, _peak_start
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
 
@@ -301,3 +306,89 @@ class TestSpectrumPeaks:
         spectrum = dk.synth_spectrum(system, dk.Instrument.grating(), grid)
         with pytest.raises(dk.ParameterError):
             dk.fit_spectrum_peaks(spectrum, 1, instrument_fwhm=2.4)
+
+
+def reference_peaks(x, background, eta, *peaks):
+    """Background plus pseudo-Voigt lines, written out independently of dotkit."""
+    out = np.full_like(x, background)
+    for center, fwhm, height in zip(peaks[0::3], peaks[1::3], peaks[2::3]):
+        z = (x - center) / fwhm
+        out = out + height * (
+            eta / (1.0 + 4.0 * z**2) + (1.0 - eta) * np.exp(-4.0 * math.log(2.0) * z**2)
+        )
+    return out
+
+
+class TestPeakFitEstimator:
+    GRID = np.linspace(-100.0, 100.0, 401)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        background=st.floats(0.0, 1.0),
+        eta=st.floats(0.0, 1.0),
+        peaks=st.lists(
+            st.tuples(st.floats(-80.0, 80.0), st.floats(0.5, 40.0), st.floats(0.01, 10.0)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_jacobian_matches_central_differences(self, background, eta, peaks):
+        theta = np.array([background, eta] + [v for peak in peaks for v in peak])
+        model, jac = _peak_model(theta, self.GRID)
+        np.testing.assert_allclose(model, reference_peaks(self.GRID, *theta), rtol=1e-12)
+        for i in range(theta.size):
+            h = 1e-6 * max(1.0, abs(theta[i]))
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            numeric = (
+                reference_peaks(self.GRID, *up) - reference_peaks(self.GRID, *down)
+            ) / (2.0 * h)
+            scale = max(np.abs(numeric).max(), 1e-3)
+            np.testing.assert_allclose(jac[:, i], numeric, rtol=0, atol=1e-6 * scale)
+
+    def meter_spectra(self):
+        """Meter-style scans (+-150 ueV, SNR 200) plus the two-line spectrum."""
+        line = dict(gamma=1.4, gamma_pd=REF_GAMMA_PD, sigma=REF_SIGMA)
+        center = 1_300_000.0
+        gen = dk.RngSeed(30).generator()
+        cases = []
+        for _ in range(4):
+            system = dk.EmitterSystem((dk.Emitter(center + gen.uniform(-25.0, 25.0), **line),))
+            grid = np.arange(center - 150.0, center + 150.3, 0.6)
+            cases.append(
+                (dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid, 200.0, gen), 1)
+            )
+        pair = dk.EmitterSystem(
+            (
+                dk.Emitter(center, REF_GAMMA, REF_GAMMA_PD, REF_SIGMA),
+                dk.Emitter(center + 540.0, REF_GAMMA, REF_GAMMA_PD, REF_SIGMA),
+            )
+        )
+        grid = np.arange(center - 300.0, center + 840.0, 0.6)
+        cases.append(
+            (dk.synth_spectrum(pair, dk.Instrument.fabry_perot(), grid, 50.0, dk.RngSeed(21)), 2)
+        )
+        return cases
+
+    def test_agrees_with_curve_fit(self):
+        # The oracle is scipy's curve_fit from the same start and bounds, on
+        # the same axis: offsets from the grid midpoint, which the library
+        # fits on (on raw ~1.3e6 ueV energies curve_fit's finite-difference
+        # steps alone move its optimum by ~1e-5 ueV).
+        for spectrum, n_peaks in self.meter_spectra():
+            energies, y = spectrum.energies, spectrum.intensities
+            origin = 0.5 * (energies[0] + energies[-1])
+            x = energies - origin
+            start = _peak_start(x, y, n_peaks, spectrum.instrument.resolution_fwhm)
+            p0, lower, upper = (np.array(column) for column in zip(*start.values()))
+            popt, pcov = scipy.optimize.curve_fit(
+                reference_peaks, x, y, p0=p0, bounds=(lower, upper), maxfev=20000
+            )
+            order = np.argsort(popt[2::3])
+            oracle_centers = origin + popt[2::3][order]
+            oracle_errors = np.sqrt(np.diag(pcov))[2::3][order]
+            peaks = dk.fit_spectrum_peaks(spectrum, n_peaks)
+            for peak, center, err in zip(peaks, oracle_centers, oracle_errors):
+                assert peak.center == pytest.approx(center, abs=1e-6)
+                assert peak.center_err == pytest.approx(err, rel=1e-5)

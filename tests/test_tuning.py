@@ -207,6 +207,18 @@ class TestEnergyMeter:
         meter.measure(state, 0, gen)
         state.emitter_shifts = state.emitter_shifts + 500.0  # line leaves the window
         assert meter.measure(state, 0, gen) == pytest.approx(E0 + 500.0, abs=0.5)
+        assert meter.last_rescans >= 1
+
+    def test_default_window_fits_the_line(self):
+        line = make_state([E0], [7.5]).system.emitters[0]
+        width = dk.spectra.line_fwhm(line.gamma, line.gamma_pd, line.sigma, 2.4)
+        assert dk.EnergyMeter().window(line) == pytest.approx(12.0 * width)
+
+    def test_explicit_window_below_coverage_rejected(self):
+        state = make_state([E0], [7.5])
+        meter = dk.EnergyMeter(half_window=60.0)
+        with pytest.raises(dk.ParameterError, match="half_window"):
+            meter.measure(state, 0, dk.RngSeed(13).generator())
 
 
 class TestTuneToTarget:
@@ -333,3 +345,30 @@ class TestDeterminismAndJournal:
             assert parsed.pulse.duration == pytest.approx(original.pulse.duration, rel=1e-9)
             assert parsed.spectra == original.spectra
             assert parsed.energies == pytest.approx(original.energies)
+
+    def test_rescans_round_trip(self, tmp_path):
+        pulse = dk.ExposurePulse(7.0, 3.0, 0.5)
+        log = dk.ExposureLog()
+        log.append(dk.ExposureRecord(pulse, {0: E0, 1: E0 + 1.5}, ("scan00001", "scan00002"), 0))
+        log.append(dk.ExposureRecord(pulse, {0: E0 + 2.0, 1: E0 + 1.5}, ("scan00003",), 3))
+        path = tmp_path / "journal.txt"
+        dk.write_journal(path, log)
+        back = dk.read_journal(path)
+        assert [r.rescans for r in back] == [0, 3]
+        assert [r.spectra for r in back] == [r.spectra for r in log]
+
+    def test_reads_journal_without_rescans_column(self, tmp_path):
+        path = tmp_path / "journal.txt"
+        path.write_text(
+            "# exposure journal\n"
+            "# n site_um power_mW duration_s energies(idx=ueV;...) spectra\n"
+            "1\t7\t3.1\t0.5\t0=1300010.5;1=1300540.25\tscan00003,scan00004\n"
+            "2\t7\t3.2\t0.25\t0=1300020;1=1300540.5\t-\n"
+        )
+        back = dk.read_journal(path)
+        assert len(back) == 2
+        assert [r.rescans for r in back] == [0, 0]
+        assert back.records[0].energies == {0: 1300010.5, 1: 1300540.25}
+        assert back.records[0].spectra == ("scan00003", "scan00004")
+        assert back.records[1].spectra == ()
+        assert back.records[1].pulse.duration == 0.25
