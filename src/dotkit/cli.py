@@ -46,7 +46,7 @@ from .montecarlo import (
     sample_coincidences,
     write_histogram,
 )
-from .spectra import Instrument, synth_spectrum, write_spectrum
+from .spectra import Instrument, coverage_half_width, synth_spectrum, write_spectrum
 from .tuning import (
     EnergyMeter,
     PlantConfig,
@@ -293,7 +293,10 @@ def _build_grid(config) -> np.ndarray:
         raise ConfigError("config.grid: required for this command")
     tau_max = float(section["tau_max_ns"])
     n_points = int(section["n_points"])
-    return np.linspace(-tau_max, tau_max, n_points)
+    grid = np.linspace(-tau_max, tau_max, n_points)
+    # linspace's +-tau pairs can differ in the last bit; made exactly
+    # antisymmetric, each |tau| is one Monte Carlo delay, not two.
+    return 0.5 * (grid - grid[::-1])
 
 
 def _build_irf(config) -> Irf | None:
@@ -472,9 +475,19 @@ def cmd_fit(config, outdir: Path, config_dir: Path) -> None:
         (outdir / f"overlay_{k}.tsv").write_text("\n".join(lines) + "\n")
 
 
-def _spectrum_grid(state, margin=150.0, step=0.6):
+def _spectrum_grid(state, meter):
+    """Energy grid of the before/after spectra, at the meter's step.
+
+    It spans every line by at least 150 ueV and by the coverage
+    :func:`synth_spectrum` needs through the meter's instrument, plus one
+    step because ``arange`` can stop short of its end.
+    """
+    coverage = max(coverage_half_width(e, meter.instrument) for e in state.system.emitters)
+    margin = max(150.0, coverage + meter.step)
     energies = state.energies()
-    return np.arange(energies.min() - margin, energies.max() + margin + 0.5 * step, step)
+    return np.arange(
+        energies.min() - margin, energies.max() + margin + 0.5 * meter.step, meter.step
+    )
 
 
 def cmd_tune(config, outdir: Path) -> None:
@@ -516,7 +529,7 @@ def cmd_tune(config, outdir: Path) -> None:
     state = PlantState(system)
     seed = RngSeed(int(config.get("seed", 0)))
     gen = seed.generator()
-    grid = _spectrum_grid(state)
+    grid = _spectrum_grid(state, meter)
     write_spectrum(
         outdir / "spectrum_before.tsv",
         synth_spectrum(state.current_system(), meter.instrument, grid, meter.snr, gen),
@@ -539,7 +552,7 @@ def cmd_tune(config, outdir: Path) -> None:
             state, plant_cfg, targets, tolerance, max_exposures, rng=gen, meter=meter
         )
     write_journal(outdir / "journal.txt", log)
-    grid = _spectrum_grid(state)
+    grid = _spectrum_grid(state, meter)
     write_spectrum(
         outdir / "spectrum_after.tsv",
         synth_spectrum(state.current_system(), meter.instrument, grid, meter.snr, gen),

@@ -5,6 +5,12 @@ sampling first-order coherence trajectories: a quasi-static frequency
 offset per realization (spectral diffusion) and a Wiener phase (pure
 dephasing) per emitter. The same-emitter incoherent term is taken
 analytically; only the interference factor needs Monte Carlo validation.
+
+Trajectories are carried as real phases, not complex exponentials: the
+interference depends only on phase differences, so each emitter's phase is
+taken relative to a reference emitter's and enters through one cos/sin.
+Each distinct |tau| of the delay grid is sampled once; a grid that is
+exactly symmetric about zero therefore costs half its points.
 """
 
 from __future__ import annotations
@@ -96,24 +102,29 @@ class G2Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _g1_trajectories(
+def _phase_trajectories(
     e: Emitter,
     omega: float,
     u: np.ndarray,
     n: int,
     gen: np.random.Generator,
 ) -> np.ndarray:
-    """First-order coherence samples g1(u) for one emitter, shape (n, len(u)).
+    """Phase samples phi(u) in rad of one emitter, shape (n, len(u)).
 
-    ``u`` is a sorted grid of nonnegative delays; the Wiener dephasing phase
-    accumulates over its segments. ``omega`` is the deterministic angular
-    frequency in rad/ns (already referenced to keep phases small).
+    The emitter's first-order coherence is g1(u) = exp(-gamma u / 2)
+    exp(i phi(u)). ``u`` is a sorted grid of nonnegative delays; the Wiener
+    dephasing phase accumulates over its segments. ``omega`` is the
+    deterministic angular frequency in rad/ns (already referenced to keep
+    phases small). Draws one frequency offset per realization, then one
+    normal per realization and delay; the array is built in place.
     """
     offsets = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
     segments = np.diff(u, prepend=0.0)
-    steps = gen.normal(size=(n, u.size)) * np.sqrt(2.0 * e.gamma_pd * segments)
-    phase = (omega + offsets) * u + np.cumsum(steps, axis=1)
-    return np.exp(-0.5 * e.gamma * u) * np.exp(1j * phase)
+    phase = gen.normal(size=(n, u.size))
+    phase *= np.sqrt(2.0 * e.gamma_pd * segments)
+    np.cumsum(phase, axis=1, out=phase)
+    phase += (omega + offsets) * u
+    return phase
 
 
 def _block_sizes(n_real: int) -> list[int]:
@@ -133,7 +144,10 @@ def mc_coherence_pair(
     """Monte Carlo estimate of the pair-coherence factor
     exp(-Gamma_ij tau - 2 pi^2 sigma_ij^2 tau^2) cos(d_ij tau).
 
-    Returns (mean, standard_error); arrays when ``tau`` is an array.
+    Each realization contributes Re[g1_i conj(g1_j)], taken as one cosine
+    of the phase difference times both decays. Each distinct |tau| is
+    sampled once. Returns (mean, standard_error); arrays when ``tau`` is an
+    array.
     """
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
@@ -142,15 +156,18 @@ def mc_coherence_pair(
     mid = 0.5 * (e_i.energy + e_j.energy)
     om_i = (e_i.energy - mid) / HBAR_UEV_NS
     om_j = (e_j.energy - mid) / HBAR_UEV_NS
+    decay = np.exp(-0.5 * e_i.gamma * u) * np.exp(-0.5 * e_j.gamma * u)
     total = np.zeros(u.size)
     total_sq = np.zeros(u.size)
     for block, size in enumerate(_block_sizes(n_real)):
         gen = rng.block_generator(block)
-        g1_i = _g1_trajectories(e_i, om_i, u, size, gen)
-        g1_j = _g1_trajectories(e_j, om_j, u, size, gen)
-        product = (g1_i * np.conj(g1_j)).real
+        product = _phase_trajectories(e_i, om_i, u, size, gen)
+        product -= _phase_trajectories(e_j, om_j, u, size, gen)
+        np.cos(product, out=product)
+        product *= decay
         total += product.sum(axis=0)
-        total_sq += (product**2).sum(axis=0)
+        product *= product
+        total_sq += product.sum(axis=0)
     mean = total / n_real
     var = np.maximum(total_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
     stderr = np.sqrt(var / n_real)
@@ -169,8 +186,13 @@ def mc_g2(
     """Trajectory-sampled g2 on a delay grid, with per-point standard errors.
 
     The coherent interference of all pairs is sampled jointly per
-    realization as |sum_i I_i g1_i|^2 - sum_i I_i^2 |g1_i|^2, so the quoted
-    errors include cross-pair correlations.
+    realization as |sum_i a_i exp(i phi_i)|^2 - sum_i a_i^2 with
+    a_i = I_i exp(-gamma_i |tau| / 2), so the quoted errors include
+    cross-pair correlations. The modulus does not change under a common
+    phase, so the sum runs over real phases relative to the first
+    emitter's: re = a_0 + sum a_i cos(psi_i), im = sum a_i sin(psi_i).
+    Each distinct |tau| is sampled once, so the two sides of a grid that
+    is exactly symmetric about zero share their draws.
     """
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
@@ -182,18 +204,37 @@ def mc_g2(
     energies = system.energies
     omegas = (energies - energies.mean()) / HBAR_UEV_NS
     decay = np.array([np.exp(-e.gamma * u) for e in system.emitters])
+    amplitudes = [w * np.exp(-0.5 * e.gamma * u) for e, w in zip(system.emitters, weights)]
+    self_terms = (weights[:, None] ** 2 * decay).sum(axis=0)
 
     coh_sum = np.zeros(u.size)
     coh_sum_sq = np.zeros(u.size)
     if len(system) > 1:
+        (e0, om0, a0), *others = zip(system.emitters, omegas, amplitudes)
         for block, size in enumerate(_block_sizes(n_real)):
             gen = rng.block_generator(block)
-            weighted = np.zeros((size, u.size), dtype=complex)
-            for e, om, w in zip(system.emitters, omegas, weights):
-                weighted += w * _g1_trajectories(e, om, u, size, gen)
-            samples = np.abs(weighted) ** 2 - (weights[:, None] ** 2 * decay).sum(axis=0)
-            coh_sum += samples.sum(axis=0)
-            coh_sum_sq += (samples**2).sum(axis=0)
+            reference = _phase_trajectories(e0, om0, u, size, gen)
+            re = np.broadcast_to(a0, (size, u.size)).copy()
+            im = np.zeros((size, u.size))
+            term = np.empty((size, u.size))
+            for e, om, a in others:
+                psi = _phase_trajectories(e, om, u, size, gen)
+                psi -= reference
+                np.cos(psi, out=term)
+                term *= a
+                re += term
+                np.sin(psi, out=psi)
+                psi *= a
+                im += psi
+            # In place: re becomes the sample re^2 + im^2 - sum_i a_i^2,
+            # then its square.
+            re *= re
+            im *= im
+            re += im
+            re -= self_terms
+            coh_sum += re.sum(axis=0)
+            re *= re
+            coh_sum_sq += re.sum(axis=0)
     mean = coh_sum / n_real
     var = np.maximum(coh_sum_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
     stderr = np.sqrt(var / n_real)

@@ -6,7 +6,7 @@ import yaml
 from scipy.special import ndtri
 
 import dotkit as dk
-from dotkit.cli import _oracle_report, main
+from dotkit.cli import _build_grid, _oracle_report, main
 
 E0 = 1_300_000.0
 
@@ -104,6 +104,35 @@ class TestCmdModel:
         assert run_cli("model", "--config", path, "--out", str(out)) == 0
         assert read_summary(out / "summary.txt")["g2_zero_after_irf"] <= 0.55
 
+    def test_symmetric_grid_keeps_outputs(self, tmp_path):
+        # The grid is linspace made exactly antisymmetric; that moves some
+        # delays by one ulp, which the 10-digit columns must not show
+        # beyond rounding of the IRF convolution.
+        path = write_yaml(tmp_path / "model.yaml", model_config())
+        out = tmp_path / "out"
+        assert run_cli("model", "--config", path, "--out", str(out)) == 0
+        rows = [line.split("\t") for line in (out / "curve.tsv").read_text().splitlines()[1:]]
+        tau = np.linspace(-3.0, 3.0, 3001)
+        system = dk.identical_system(3, 1.4, 2.5, 1.0)
+        g2 = dk.g2_general(system, tau)
+        assert [row[0] for row in rows] == [f"{t:.10g}" for t in tau]
+        assert [row[1] for row in rows] == [f"{v:.10g}" for v in g2]
+        blurred = dk.convolve_irf(dk.G2Curve(tau, g2), dk.Irf(0.1)).values
+        np.testing.assert_allclose([float(row[2]) for row in rows], blurred, rtol=0, atol=1e-9)
+
+
+class TestBuildGrid:
+    @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])
+    @pytest.mark.parametrize("tau_max", [0.7, 3.0, 10.0])
+    def test_exactly_antisymmetric(self, n_points, tau_max):
+        grid = _build_grid({"grid": {"tau_max_ns": tau_max, "n_points": n_points}})
+        assert np.array_equal(grid, -grid[::-1])
+        assert grid[0] == -tau_max and grid[-1] == tau_max
+        assert np.all(np.diff(grid) > 0)
+        np.testing.assert_allclose(
+            grid, np.linspace(-tau_max, tau_max, n_points), rtol=0, atol=2 * np.spacing(tau_max)
+        )
+
 
 class TestCmdSimulate:
     def simulate_config(self):
@@ -156,6 +185,30 @@ class TestCmdSimulate:
         assert under["n_beyond_3sigma"] == "61"
         assert under["oracle_pass"] == "1"
         assert report(1.001 * threshold, 0.0)["oracle_pass"] == "0"
+
+    @pytest.mark.parametrize("n_points", [60, 61])
+    def test_each_delay_sampled_once(self, tmp_path, monkeypatch, n_points):
+        sampled = []
+        original = dk.montecarlo._phase_trajectories
+
+        def recording(e, omega, u, n, gen):
+            sampled.append(u.size)
+            return original(e, omega, u, n, gen)
+
+        monkeypatch.setattr(dk.montecarlo, "_phase_trajectories", recording)
+        config = self.simulate_config()
+        config["grid"]["n_points"] = n_points
+        del config["simulate"]["coincidences"]
+        path = write_yaml(tmp_path / "sim.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--out", str(out)) == 0
+        assert set(sampled) == {(n_points + 1) // 2}
+        rows = [line.split("\t") for line in (out / "mc_curve.tsv").read_text().splitlines()]
+        rows = [row for row in rows if not row[0].startswith("#")]
+        assert len(rows) == n_points
+        for row, mirror in zip(rows, rows[::-1]):
+            assert float(row[0]) == -float(mirror[0])
+            assert row[1:] == mirror[1:]
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_yaml(tmp_path / "sim.yaml", self.simulate_config())
@@ -315,6 +368,29 @@ class TestCmdTune:
         path = write_yaml(tmp_path / "tune.yaml", config)
         assert run_cli("tune", "--config", path, "--out", str(tmp_path / "out")) == 2
         assert "error:unreachable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "meter, step",
+        [({"instrument": "grating"}, 12.5), ({"resolution_fwhm_ueV": 1.2}, 0.3)],
+    )
+    def test_spectrum_grid_follows_meter(self, tmp_path, meter, step):
+        # A grating line needs +-530 ueV of spectrum and a 1.2 ueV
+        # resolution a step of at most 0.4 ueV; a fixed 150 ueV margin at
+        # 0.6 ueV steps gave neither.
+        config = self.tune_config()
+        config["tune"]["meter"] = meter
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", path, "--seed", "9", "--out", str(out)) == 0
+        report = dict(
+            line.split(" = ") for line in (out / "report.txt").read_text().splitlines()
+        )
+        assert report["alive"] == "1"
+        assert float(report["max_pairwise_detuning_ueV"]) <= 2.0
+        for name in ("spectrum_before.tsv", "spectrum_after.tsv"):
+            spectrum = dk.read_spectrum(out / name)
+            assert spectrum.instrument.kind == meter.get("instrument", "fabry_perot")
+            assert spectrum.step == pytest.approx(step)
 
     def test_already_resonant_empty_journal(self, tmp_path):
         config = self.tune_config()
