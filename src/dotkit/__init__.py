@@ -53,7 +53,6 @@ from .fitting import (
     fit_g2_joint,
     fit_spectrum_peaks,
     joint_curve_params,
-    pseudo_voigt,
 )
 from .montecarlo import (
     G2Histogram,

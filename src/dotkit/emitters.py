@@ -228,6 +228,23 @@ class Irf:
         return self.fwhm / GAUSSIAN_FWHM_SIGMA
 
 
+def _interference(t, omegas, rates, sigmas, weights):
+    """Pair sum ``sum_{i!=j} w_i w_j Re[a_i conj(a_j)]`` at delays ``t >= 0``,
+    ``a_i = exp(-rate_i t - 2 pi^2 sigma_i^2 t^2 + i omega_i t)``, taken as
+    ``|sum_i w_i a_i|^2 - sum_i w_i^2 |a_i|^2``: O(N) work per delay and
+    O(len(t)) memory. At ``omega == 0``, cos = 1 and sin = 0 exactly."""
+    field_re, field_im, power = np.zeros((3,) + t.shape)
+    for omega, rate, sigma, w in zip(omegas, rates, sigmas, weights):
+        amplitude = w * np.exp(-rate * t - 2.0 * math.pi**2 * sigma**2 * t**2)
+        power += amplitude**2
+        if omega:
+            field_re += amplitude * np.cos(omega * t)
+            field_im += amplitude * np.sin(omega * t)
+        else:
+            field_re += amplitude
+    return field_re**2 + field_im**2 - power
+
+
 def g2_ideal(
     tau,
     n: int,
@@ -242,6 +259,8 @@ def g2_ideal(
     ``[1 - exp(-gamma |tau|)/n]
     + exp(-2 Gamma |tau| - 4 pi^2 sigma^2 tau^2)/n^2 * sum_{i!=j} cos(d_ij tau)``
     where Gamma is the per-emitter coherence decay rate gamma/2 + gamma_pd.
+    The pair sum is ``|sum_i a_i|^2 - sum_i |a_i|^2``, ``a_i = exp(-Gamma |tau|
+    - 2 pi^2 sigma^2 tau^2 + i d_i0 tau)``, with emitter 0 as reference energy.
 
     Parameters
     ----------
@@ -253,31 +272,19 @@ def g2_ideal(
         Radiative rate, coherence decay rate Gamma, and spectral-diffusion
         width, all in 1/ns (sigma as ordinary frequency).
     detunings : (n, n) array, optional
-        Pair detunings d_ij in rad/ns; omitted means all emitters resonant.
+        Pair detunings d_ij = omega_i - omega_j in rad/ns; omitted means all
+        emitters resonant. Any other matrix raises ParameterError.
     """
     if n < 1:
         raise ParameterError(f"emitter count must be >= 1, got {n}")
     if not gamma > 0:
         raise ParameterError(f"radiative rate must be > 0, got {gamma}")
     t = np.abs(np.asarray(tau, dtype=float))
-    out = 1.0 - np.exp(-gamma * t) / n
-    if n > 1:
-        if detunings is None:
-            pair_sum = float(n * (n - 1))
-            cos_sum = pair_sum * np.ones_like(t)
-        else:
-            d = np.asarray(detunings, dtype=float)
-            if d.shape != (n, n):
-                raise ParameterError(f"detuning matrix must be {(n, n)}, got {d.shape}")
-            cos_sum = np.zeros_like(t)
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        cos_sum = cos_sum + np.cos(d[i, j] * t)
-        envelope = np.exp(
-            -2.0 * total_dephasing * t - 4.0 * math.pi**2 * diffusion_sigma**2 * t**2
-        )
-        out = out + envelope * cos_sum / n**2
+    d = np.zeros((n, n)) if detunings is None else np.asarray(detunings, dtype=float)
+    if d.shape != (n, n) or not np.abs(d - d[:, :1] + d[:, 0]).max() <= 1e-12 * np.abs(d).max():
+        raise ParameterError(f"detunings must be an ({n}, {n}) matrix d_ij = omega_i - omega_j")
+    pair_sum = _interference(t, d[:, 0], [total_dephasing] * n, [diffusion_sigma] * n, [1.0] * n)
+    out = 1.0 - np.exp(-gamma * t) / n + pair_sum / n**2
     return out if np.ndim(tau) else float(out)
 
 
@@ -286,9 +293,12 @@ def g2_general(system: EmitterSystem, tau, coherent: bool = True):
 
     The incoherent part is ``1 - sum_i I_i^2 exp(-gamma_i |tau|) / (sum I)^2``;
     with ``coherent`` the pairwise interference
-    ``sum_{i!=j} I_i I_j exp(-Gamma_ij |tau| - 2 pi^2 sigma_ij^2 tau^2)
-    cos(d_ij tau) / (sum I)^2`` is added. ``coherent=False`` gives the
-    distinguishable-emitter baseline.
+    ``sum_{i!=j} I_i I_j Re[a_i conj(a_j)] / (sum I)^2`` is added, with
+    ``a_i = exp(-(gamma_i/2 + gamma_pd_i)|tau| - 2 pi^2 sigma_i^2 tau^2
+    + i (E_i - E_ref) tau / hbar)``, evaluated in O(N) per delay as
+    ``|sum_i I_i a_i|^2 - sum_i I_i^2 |a_i|^2``. ``E_ref`` is the first
+    emitter's energy, which keeps phases small for absolute energies near
+    1.3 eV. ``coherent=False`` gives the distinguishable-emitter baseline.
     """
     t = np.abs(np.asarray(tau, dtype=float))
     weights = system.intensities
@@ -299,20 +309,9 @@ def g2_general(system: EmitterSystem, tau, coherent: bool = True):
     for e, w in zip(system.emitters, weights):
         out = out - (w / total) ** 2 * np.exp(-e.gamma * t)
     if coherent and len(system) > 1:
-        for i, e_i in enumerate(system.emitters):
-            for j, e_j in enumerate(system.emitters):
-                if i == j:
-                    continue
-                pc = pair_coupling(e_i, e_j)
-                out = out + (
-                    weights[i]
-                    * weights[j]
-                    / total**2
-                    * np.exp(
-                        -pc.gamma_sum * t - 2.0 * math.pi**2 * pc.sigma_pair**2 * t**2
-                    )
-                    * np.cos(pc.detuning * t)
-                )
+        omegas = (system.energies - system.emitters[0].energy) / HBAR_UEV_NS
+        rates, sigmas = zip(*((e.total_dephasing, e.sigma) for e in system.emitters))
+        out = out + _interference(t, omegas, rates, sigmas, weights) / total**2
     return out if np.ndim(tau) else float(out)
 
 

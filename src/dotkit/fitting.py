@@ -313,12 +313,6 @@ def joint_curve_params(result: FitResult, specs: Sequence[FitSpec]) -> list[dict
     return out
 
 
-def pseudo_voigt(x, center: float, fwhm: float, eta: float):
-    """Height-normalized pseudo-Voigt line: eta Lorentzian + (1-eta) Gaussian."""
-    lorentz, gauss = _line_shapes((np.asarray(x, dtype=float) - center) / fwhm)
-    return eta * lorentz + (1.0 - eta) * gauss
-
-
 def _line_shapes(z):
     """Unit-height Lorentzian and Gaussian at z = (x - center) / fwhm."""
     return 1.0 / (1.0 + 4.0 * z**2), np.exp(-4.0 * math.log(2.0) * z**2)
@@ -338,11 +332,12 @@ def _peak_model(theta, x):
     """Background plus pseudo-Voigt peaks, and the model's Jacobian.
 
     ``theta`` is (background, eta, center_0, fwhm_0, height_0, ...), with
-    one shared Lorentzian fraction ``eta``.
+    one shared Lorentzian fraction ``eta``. Both arrays take ``theta``'s
+    dtype, so a complex ``theta`` gives complex-step derivatives.
     """
     background, eta = theta[0], theta[1]
-    model = np.full_like(x, background)
-    jac = np.empty((x.size, theta.size))
+    model = np.full(x.shape, background, dtype=theta.dtype)
+    jac = np.empty((x.size, theta.size), dtype=theta.dtype)
     jac[:, 0] = 1.0
     jac[:, 1] = 0.0
     for p in range(2, theta.size, 3):

@@ -165,26 +165,46 @@ class TestCmdSimulate:
         for name in ("mc_curve.tsv", "histogram.tsv", "normalized.tsv", "config.yaml"):
             assert (out / name).exists()
 
-    def test_oracle_pass_tolerates_chance_pulls(self):
-        # A correct oracle's largest pull over 61 delays exceeds 3 sigma in
-        # roughly one run in ten, so the pass threshold is corrected for the
-        # number of delays (1% family-wise false alarms).
-        tau = np.linspace(-3.0, 3.0, 61)
-        analytic = np.ones(tau.size)
-        errors = np.full(tau.size, 0.01)
-        threshold = ndtri(1.0 - 0.005 / tau.size)
+    @staticmethod
+    def check_chance_pulls(grid, n_distinct):
+        """Pulls just under the corrected threshold pass, just over fail."""
+        analytic = np.ones(grid.size)
+        errors = np.full(grid.size, 0.01)
+        threshold = ndtri(1.0 - 0.005 / n_distinct)
 
         def report(largest, others):
-            pulls = np.full(tau.size, others)
-            pulls[30] = largest
-            curve = dk.G2Curve(tau, analytic + pulls * errors, errors)
+            pulls = np.full(grid.size, others)
+            pulls[np.abs(grid) == np.abs(grid[grid.size // 2])] = largest
+            curve = dk.G2Curve(grid, analytic + pulls * errors, errors)
             return dict(line.split(" = ") for line in _oracle_report(curve, analytic, 1000))
 
-        under = report(0.999 * threshold, 3.1)
+        under, over = report(0.999 * threshold, 3.1), report(1.001 * threshold, 0.0)
+        assert under["n_points"] == str(grid.size)
+        assert under["n_distinct_delays"] == str(n_distinct)
         assert float(under["pull_threshold_sigma"]) == pytest.approx(threshold, rel=1e-5)
-        assert under["n_beyond_3sigma"] == "61"
+        assert under["n_beyond_3sigma"] == str(n_distinct)
         assert under["oracle_pass"] == "1"
-        assert report(1.001 * threshold, 0.0)["oracle_pass"] == "0"
+        assert over["n_beyond_3sigma"] == "1"
+        assert over["oracle_pass"] == "0"
+
+    def test_oracle_pass_tolerates_chance_pulls(self):
+        # A correct oracle's largest pull over 31 delays exceeds 3 sigma in
+        # roughly one run in twelve, so the pass threshold is corrected for
+        # the number of distinct |tau| (1% family-wise false alarms): the
+        # mirrored rows of the CLI grid are one draw and count once.
+        grid = _build_grid({"grid": {"tau_max_ns": 3.0, "n_points": 61}})
+        self.check_chance_pulls(grid, 31)
+
+    @pytest.mark.parametrize(
+        "grid, n_distinct",
+        [
+            (_build_grid({"grid": {"tau_max_ns": 3.0, "n_points": 60}}), 30),
+            (np.linspace(0.0, 3.0, 61), 61),
+        ],
+        ids=["mirrored-60", "one-sided-61"],
+    )
+    def test_oracle_counts_distinct_delays(self, grid, n_distinct):
+        self.check_chance_pulls(grid, n_distinct)
 
     @pytest.mark.parametrize("n_points", [60, 61])
     def test_each_delay_sampled_once(self, tmp_path, monkeypatch, n_points):

@@ -310,7 +310,7 @@ class TestSpectrumPeaks:
 
 def reference_peaks(x, background, eta, *peaks):
     """Background plus pseudo-Voigt lines, written out independently of dotkit."""
-    out = np.full_like(x, background)
+    out = np.zeros_like(x) + background
     for center, fwhm, height in zip(peaks[0::3], peaks[1::3], peaks[2::3]):
         z = (x - center) / fwhm
         out = out + height * (
@@ -332,20 +332,22 @@ class TestPeakFitEstimator:
             max_size=3,
         ),
     )
-    def test_jacobian_matches_central_differences(self, background, eta, peaks):
+    def test_jacobian_matches_complex_step(self, background, eta, peaks):
+        # Complex-step derivatives (Squire & Trapp, SIAM Rev. 40, 1998):
+        # d model / d theta_i = Im model(theta + i h e_i) / h has no
+        # subtraction error, so the tolerance needs no floor for rounding.
         theta = np.array([background, eta] + [v for peak in peaks for v in peak])
         model, jac = _peak_model(theta, self.GRID)
         np.testing.assert_allclose(model, reference_peaks(self.GRID, *theta), rtol=1e-12)
+        h = 1e-30
         for i in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[i]))
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            numeric = (
-                reference_peaks(self.GRID, *up) - reference_peaks(self.GRID, *down)
-            ) / (2.0 * h)
-            scale = max(np.abs(numeric).max(), 1e-3)
-            np.testing.assert_allclose(jac[:, i], numeric, rtol=0, atol=1e-6 * scale)
+            step = theta.astype(complex)
+            step[i] += 1j * h
+            numeric = reference_peaks(self.GRID, *step).imag / h
+            stepped, _ = _peak_model(step, self.GRID)
+            scale = np.abs(numeric).max()
+            np.testing.assert_allclose(jac[:, i], numeric, rtol=0, atol=1e-9 * scale)
+            np.testing.assert_allclose(stepped.imag / h, numeric, rtol=0, atol=1e-9 * scale)
 
     def meter_spectra(self):
         """Meter-style scans (+-150 ueV, SNR 200) plus the two-line spectrum."""
