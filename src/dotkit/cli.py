@@ -13,6 +13,7 @@ full schema is documented in the package README.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -114,6 +115,8 @@ def _number(mapping, key, path, default=None, required=False):
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -126,6 +129,13 @@ def _integer(mapping, key, path, default=None, required=False):
     return int(value)
 
 
+def _mapping(mapping, key, path):
+    value = mapping.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}: expected a mapping, got {value!r}")
+    return value
+
+
 def _boolean(mapping, key, path, default=False):
     value = mapping.get(key, default)
     if not isinstance(value, bool):
@@ -135,7 +145,10 @@ def _boolean(mapping, key, path, default=False):
 
 def load_config(path) -> dict:
     """Load and structurally validate a run configuration."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -146,6 +159,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {version!r}")
     if "system" in raw:
         _validate_system(raw["system"])
+    _number(raw, "irf_fwhm_ns", "config")
     if "grid" in raw:
         grid = raw["grid"]
         _check_keys(grid, {"tau_max_ns", "n_points"}, "config.grid")
@@ -171,28 +185,32 @@ def _validate_system(system):
     emitters = system.get("emitters")
     if not isinstance(emitters, list) or not emitters:
         raise ConfigError("config.system.emitters: need a non-empty list")
+    _number(system, "reference_energy", "config.system")
     for m, entry in enumerate(emitters):
-        _check_keys(entry, EMITTER_KEYS, f"config.system.emitters[{m}]")
-        _number(entry, "gamma", f"config.system.emitters[{m}]", required=True)
-        _number(entry, "energy", f"config.system.emitters[{m}]", required=True)
+        path = f"config.system.emitters[{m}]"
+        _check_keys(entry, EMITTER_KEYS, path)
+        for key in sorted(EMITTER_KEYS):
+            _number(entry, key, path, required=key in ("energy", "gamma"))
 
 
 def _validate_simulate(section):
     _check_keys(section, {"mc", "n_real", "coincidences"}, "config.simulate")
     _boolean(section, "mc", "config.simulate", True)
+    _integer(section, "n_real", "config.simulate")
     if "coincidences" in section:
         coin = section["coincidences"]
-        _check_keys(
-            coin,
-            {"n_events", "window_ns", "bin_ns", "normalization_window_ns"},
-            "config.simulate.coincidences",
-        )
-        _integer(coin, "n_events", "config.simulate.coincidences", required=True)
+        path = "config.simulate.coincidences"
+        _check_keys(coin, {"n_events", "window_ns", "bin_ns", "normalization_window_ns"}, path)
+        _integer(coin, "n_events", path, required=True)
+        for key in ("window_ns", "bin_ns"):
+            value = _number(coin, key, path)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{path}.{key}: must be > 0, got {value:g}")
         window = coin.get("normalization_window_ns", [5.0, 10.0])
         if not (isinstance(window, list) and len(window) == 2):
-            raise ConfigError(
-                "config.simulate.coincidences.normalization_window_ns: need [lo, hi]"
-            )
+            raise ConfigError(f"{path}.normalization_window_ns: need [lo, hi]")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window):
+            raise ConfigError(f"{path}.normalization_window_ns: expected numbers, got {window!r}")
 
 
 def _validate_bounds(entry, path):
@@ -209,17 +227,26 @@ def _validate_fit(section):
     )
     if section.get("model", "ideal") not in ("ideal", "general"):
         raise ConfigError("config.fit.model: must be 'ideal' or 'general'")
+    _boolean(section, "coherent", "config.fit", True)
+    _number(section, "irf_fwhm_ns", "config.fit")
+    _integer(section, "n_restarts", "config.fit")
     curves = section.get("curves")
     if not isinstance(curves, list) or not curves:
         raise ConfigError("config.fit.curves: need a non-empty list")
-    for name, entry in section.get("shared", {}).items():
+    for name, entry in _mapping(section, "shared", "config.fit").items():
         _validate_bounds(entry, f"config.fit.shared.{name}")
     for m, curve in enumerate(curves):
-        _check_keys(curve, {"data", "fixed", "free"}, f"config.fit.curves[{m}]")
+        path = f"config.fit.curves[{m}]"
+        _check_keys(curve, {"data", "fixed", "free"}, path)
         if not isinstance(curve.get("data"), str):
-            raise ConfigError(f"config.fit.curves[{m}].data: required path")
-        for name, entry in curve.get("free", {}).items():
-            _validate_bounds(entry, f"config.fit.curves[{m}].free.{name}")
+            raise ConfigError(f"{path}.data: required path")
+        fixed = _mapping(curve, "fixed", path)
+        for name in fixed:
+            # The emitter count must be whole: FitSpec would truncate it.
+            convert = _integer if name == "n" else _number
+            convert(fixed, name, f"{path}.fixed", required=True)
+        for name, entry in _mapping(curve, "free", path).items():
+            _validate_bounds(entry, f"{path}.free.{name}")
 
 
 def _validate_tune(section):
@@ -333,14 +360,15 @@ def cmd_model(config, outdir: Path) -> None:
     coherent = _boolean(config.get("model", {}), "coherent", "config.model", True)
     irf = _build_irf(config)
     values = g2_general(system, grid, coherent)
-    lines = [f"{t:.10g}\t{v:.10g}" for t, v in zip(grid, values)]
+    # Python floats format faster than numpy scalars, to the same text.
+    lines = [f"{t:.10g}\t{v:.10g}" for t, v in zip(grid.tolist(), values.tolist())]
     columns = "# tau_ns\tg2"
     g2_zero_irf = None
     if irf is not None:
         blurred = convolve_irf(G2Curve(grid, values), irf)
         lines = [
             f"{t:.10g}\t{v:.10g}\t{b:.10g}"
-            for t, v, b in zip(grid, values, blurred.values)
+            for t, v, b in zip(grid.tolist(), values.tolist(), blurred.values.tolist())
         ]
         columns = "# tau_ns\tg2\tg2_irf"
         g2_zero_irf = float(blurred.values[np.argmin(np.abs(grid))])
@@ -434,12 +462,9 @@ def cmd_fit(config, outdir: Path, config_dir: Path) -> None:
         raise ConfigError("config.fit: required for this command")
     model = section.get("model", "ideal")
     coherent = _boolean(section, "coherent", "config.fit", True)
-    irf = (
-        Irf(float(section["irf_fwhm_ns"]))
-        if section.get("irf_fwhm_ns") is not None
-        else None
-    )
-    n_restarts = int(section.get("n_restarts", 3))
+    irf_fwhm = _number(section, "irf_fwhm_ns", "config.fit")
+    irf = Irf(irf_fwhm) if irf_fwhm is not None else None
+    n_restarts = _integer(section, "n_restarts", "config.fit", default=3)
     shared_cfg = section.get("shared", {})
     shared_free = {
         name: (float(b["guess"]), float(b["min"]), float(b["max"]))
@@ -447,10 +472,12 @@ def cmd_fit(config, outdir: Path, config_dir: Path) -> None:
     }
     base_system = _build_system(config) if model == "general" else None
     datasets, specs = [], []
-    for entry in section["curves"]:
+    for m, entry in enumerate(section["curves"]):
         data_path = Path(entry["data"])
         if not data_path.is_absolute():
             data_path = config_dir / data_path
+        if not data_path.is_file():
+            raise ConfigError(f"config.fit.curves[{m}].data: no file {data_path}")
         datasets.append(read_curve(data_path))
         free = dict(shared_free)
         for name, b in entry.get("free", {}).items():
@@ -476,7 +503,8 @@ def cmd_fit(config, outdir: Path, config_dir: Path) -> None:
     ):
         model_vals = evaluate_fit_model(spec, params, data.delays)
         lines = ["# tau_ns\tg2\tstderr\tmodel"]
-        for t, v, s, m in zip(data.delays, data.values, data.errors, model_vals):
+        columns = (data.delays, data.values, data.errors, model_vals)
+        for t, v, s, m in zip(*(column.tolist() for column in columns)):
             lines.append(f"{t:.10g}\t{v:.10g}\t{s:.10g}\t{m:.10g}")
         (outdir / f"overlay_{k}.tsv").write_text("\n".join(lines) + "\n")
 

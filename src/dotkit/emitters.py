@@ -8,6 +8,7 @@ Spectral-diffusion widths are ordinary (not angular) frequencies in 1/ns.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -379,27 +380,29 @@ def fwhm_from_dephasing(gamma_pd: float) -> float:
 def write_curve(path, curve: G2Curve, header: Sequence[str] = ()) -> None:
     """Write a curve as delimited text (tau_ns, g2[, stderr])."""
     lines = [f"# {h}" for h in header]
+    # Python floats format faster than numpy scalars, to the same text.
+    delays, values = curve.delays.tolist(), curve.values.tolist()
     if curve.errors is None:
         lines.append("# tau_ns\tg2")
-        for t, v in zip(curve.delays, curve.values):
+        for t, v in zip(delays, values):
             lines.append(f"{t:.10g}\t{v:.10g}")
     else:
         lines.append("# tau_ns\tg2\tstderr")
-        for t, v, s in zip(curve.delays, curve.values, curve.errors):
+        for t, v, s in zip(delays, values, curve.errors.tolist()):
             lines.append(f"{t:.10g}\t{v:.10g}\t{s:.10g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_curve(path) -> G2Curve:
     """Read a curve written by :func:`write_curve`."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(x) for x in line.split()])
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            data = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as err:
+        # numpy's advice after the ';' names its own keyword arguments.
+        raise ParameterError(f"curve file {path}: {str(err).split(';')[0]}") from err
+    if data.shape[1] < 2:
         raise ParameterError(f"curve file {path} must have >= 2 columns")
     errors = data[:, 2] if data.shape[1] >= 3 else None
     return G2Curve(data[:, 0], data[:, 1], errors)

@@ -2,9 +2,11 @@
 
 Both run on one estimator, bounded trust-region reflective least squares
 (``_fit_least_squares``), with standard errors from the Jacobian at the
-optimum. g2 fits minimize the error-weighted sum of squares between data
-and the forward model (convolved with the timing response) from the guess
-plus randomized restarts, with a finite-difference Jacobian. Spectral
+optimum. g2 fits, single or joint, minimize the error-weighted sum of
+squares between data and the forward model (convolved with the timing
+response) from the guess plus randomized restarts. Their Jacobian is
+scipy's forward difference taken curve by curve: a column re-evaluates
+only the curves its parameter moves, and a ``scale`` column none. Spectral
 peaks are fit as pseudo-Voigt profiles over a constant background from
 one start with an analytic Jacobian; having no per-point errors, their
 covariance is scaled by the residual variance.
@@ -159,10 +161,6 @@ def evaluate_fit_model(spec: FitSpec, params: Mapping[str, float], delays) -> np
     return scale * np.interp(delays, blurred.delays, blurred.values)
 
 
-def _residuals(data: G2Curve, spec: FitSpec, params: Mapping[str, float]) -> np.ndarray:
-    return (data.values - evaluate_fit_model(spec, params, data.delays)) / data.errors
-
-
 def _check_fit_data(data: G2Curve, n_free: int) -> None:
     if data.errors is None or np.any(data.errors <= 0):
         raise ParameterError("fit data needs positive per-point errors")
@@ -175,13 +173,12 @@ def _check_fit_data(data: G2Curve, n_free: int) -> None:
         )
 
 
-def _fit_least_squares(residuals, free, n_restarts, gen, jac="2-point") -> FitResult:
+def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
     """Minimize the error-weighted residuals from the guess plus random starts.
 
     Each start runs scipy's bounded trust-region reflective least squares,
-    with ``jac`` either a callable returning the residuals' Jacobian or
-    scipy's finite-difference scheme; the start with the lowest chi-square
-    wins. Its final Jacobian J gives the covariance (J^T J)^-1, the
+    with ``jac`` returning the residuals' Jacobian; the start with the
+    lowest chi-square wins. Its final Jacobian J gives the covariance (J^T J)^-1, the
     Gauss-Newton inverse of half the chi-square Hessian. ``gen`` draws the
     random starts and may be None when ``n_restarts`` is 1.
     """
@@ -231,30 +228,75 @@ def _fit_least_squares(residuals, free, n_restarts, gen, jac="2-point") -> FitRe
 def fit_g2(data: G2Curve, spec: FitSpec, rng=None) -> FitResult:
     """Fit one g2 curve. Non-convergence returns converged=False with the
     best point found rather than raising."""
-    _check_fit_data(data, len(spec.free))
-    if not spec.free:
-        raise ParameterError("no free parameters to fit")
-
-    def residuals(theta):
-        params = dict(spec.fixed)
-        params.update(zip(spec.free, theta))
-        return _residuals(data, spec, params)
-
-    gen = as_generator(rng if rng is not None else 0)
-    return _fit_least_squares(residuals, spec.free, spec.n_restarts, gen)
+    return fit_g2_joint([data], [spec], shared=tuple(spec.free), rng=rng)
 
 
-def fit_g2_joint(
-    datasets: Sequence[G2Curve],
-    specs: Sequence[FitSpec],
-    shared: Sequence[str] = ("sigma", "gamma_pd"),
-    rng=None,
-) -> FitResult:
-    """Fit several curves at once with tied parameters.
+# scipy's relative step for a 2-point difference of float64 functions.
+_ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
-    Parameters named in ``shared`` must be free in every spec with the same
-    bounds and are estimated once for the whole data set; the remaining
-    free parameters are per curve and reported as ``curve<k>.<name>``.
+
+def _forward_steps(x, lower, upper):
+    """The steps of scipy's 2-point Jacobian at ``x`` within the bounds.
+
+    A step is sqrt(eps) * max(1, |x|) in the direction of x's sign; one
+    that would leave the bounds is reversed, or, where neither direction
+    fits, runs to the farther bound.
+    """
+    h = _ROOT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    lower_dist, upper_dist = x - lower, upper - x
+    stepped = x + h
+    violated = (stepped < lower) | (stepped > upper)
+    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    h[violated & fitting] *= -1
+    forward = (upper_dist >= lower_dist) & ~fitting
+    h[forward] = upper_dist[forward]
+    backward = (upper_dist < lower_dist) & ~fitting
+    h[backward] = -lower_dist[backward]
+    return h
+
+
+class _CurveTerm:
+    """One curve's rows of a joint fit's residual vector.
+
+    The model is evaluated at scale 1 and scaled afterwards; the last
+    unscaled model is kept, keyed on the curve's parameters other than
+    ``scale``, so a step that moves only ``scale`` costs no evaluation.
+    Jacobian steps pass ``remember=False``: the kept model stays the one at
+    the point being differentiated, which its ``scale`` column reuses.
+    """
+
+    def __init__(self, data: G2Curve, spec: FitSpec, columns: Mapping[str, int]):
+        self.data, self.spec, self.columns = data, spec, columns
+        self.scale_column = columns.get("scale")
+        self.shape_columns = [j for name, j in columns.items() if name != "scale"]
+        self.memo: tuple[bytes, np.ndarray] | None = None
+
+    def shape(self, theta, remember: bool = True) -> np.ndarray:
+        key = theta[self.shape_columns].tobytes()
+        if self.memo is not None and self.memo[0] == key:
+            return self.memo[1]
+        params = dict(self.spec.fixed)
+        params.update((name, theta[j]) for name, j in self.columns.items())
+        params["scale"] = 1.0
+        shape = evaluate_fit_model(self.spec, params, self.data.delays)
+        if remember:
+            self.memo = (key, shape)
+        return shape
+
+    def residuals(self, theta, remember: bool = True) -> np.ndarray:
+        if self.scale_column is None:
+            scale = self.spec.fixed.get("scale", 1.0)
+        else:
+            scale = theta[self.scale_column]
+        return (self.data.values - scale * self.shape(theta, remember)) / self.data.errors
+
+
+def _joint_problem(datasets, specs, shared):
+    """Free parameters, residuals and Jacobian of a joint fit.
+
+    The Jacobian is scipy's 2-point forward difference, bit for bit, but a
+    column re-evaluates only the curves whose parameters it moves; the
+    rows of the other curves are the zeros scipy would find.
     """
     if len(datasets) != len(specs) or not datasets:
         raise ParameterError("need one spec per data set")
@@ -282,22 +324,61 @@ def fit_g2_joint(
         slots.append(mapping)
     for data, spec in zip(datasets, specs):
         _check_fit_data(data, len(spec.free))
+    if not free:
+        raise ParameterError("no free parameters to fit")
 
     names = list(free)
+    terms = [
+        _CurveTerm(data, spec, {local: names.index(q) for local, q in mapping.items()})
+        for data, spec, mapping in zip(datasets, specs, slots)
+    ]
+    bounds = np.array([free[name][1:] for name in names]).T
+    ends = np.cumsum([data.values.size for data in datasets])
+    rows = [slice(end - data.values.size, end) for data, end in zip(datasets, ends)]
+    users = [
+        [k for k, term in enumerate(terms) if j in term.columns.values()]
+        for j in range(len(names))
+    ]
 
     def residuals(theta):
-        by_name = dict(zip(names, theta))
-        parts = []
-        for data, spec, mapping in zip(datasets, specs, slots):
-            params = dict(spec.fixed)
-            for local, qualified in mapping.items():
-                params[local] = by_name[qualified]
-            parts.append(_residuals(data, spec, params))
-        return np.concatenate(parts)
+        return np.concatenate([term.residuals(theta) for term in terms])
 
+    def jacobian(theta):
+        # Built (parameters, rows) and transposed, as scipy lays it out.
+        base = [term.residuals(theta) for term in terms]
+        h = _forward_steps(theta, *bounds)
+        jac_t = np.empty((len(names), int(ends[-1])))
+        for j, curves in enumerate(users):
+            stepped = theta.copy()
+            stepped[j] = theta[j] + h[j]
+            dx = stepped[j] - theta[j]
+            # Curves the column does not move difference to zero, signed as 0/dx.
+            jac_t[j] = 0.0 / dx
+            for k in curves:
+                moved = terms[k].residuals(stepped, remember=False)
+                jac_t[j, rows[k]] = (moved - base[k]) / dx
+        return jac_t.T
+
+    return free, residuals, jacobian
+
+
+def fit_g2_joint(
+    datasets: Sequence[G2Curve],
+    specs: Sequence[FitSpec],
+    shared: Sequence[str] = ("sigma", "gamma_pd"),
+    rng=None,
+) -> FitResult:
+    """Fit several curves at once with tied parameters.
+
+    Parameters named in ``shared`` must be free in every spec with the same
+    bounds and are estimated once for the whole data set; the remaining
+    free parameters are per curve and reported as ``curve<k>.<name>``.
+    Non-convergence returns converged=False with the best point found.
+    """
+    free, residuals, jacobian = _joint_problem(datasets, specs, shared)
     gen = as_generator(rng if rng is not None else 0)
     n_restarts = max(spec.n_restarts for spec in specs)
-    return _fit_least_squares(residuals, free, n_restarts, gen)
+    return _fit_least_squares(residuals, free, n_restarts, gen, jac=jacobian)
 
 
 def joint_curve_params(result: FitResult, specs: Sequence[FitSpec]) -> list[dict[str, float]]:

@@ -358,7 +358,7 @@ def write_histogram(path, histogram: G2Histogram) -> None:
     lo, hi = histogram.normalization_window
     lines.append(f"# normalization_window_ns = {lo:.10g} {hi:.10g}")
     lines.append("# bin_center_ns\tcounts")
-    for center, count in zip(histogram.bin_centers, histogram.counts):
+    for center, count in zip(histogram.bin_centers.tolist(), histogram.counts.tolist()):
         lines.append(f"{center:.10g}\t{int(count)}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -71,6 +71,92 @@ class TestConfigValidation:
         assert run_cli("model", "--config", path, "--out", str(tmp_path / "out")) == 2
 
 
+def fit_config(data="curve.tsv"):
+    return {
+        "version": 1,
+        "fit": {
+            "irf_fwhm_ns": 0.1,
+            "n_restarts": 1,
+            "curves": [
+                {
+                    "data": data,
+                    "fixed": {"n": 2, "delta_ueV": 0.0},
+                    "free": {"gamma": {"guess": 1.2, "min": 0.05, "max": 10.0}},
+                }
+            ],
+        },
+    }
+
+
+def simulate_config():
+    return {
+        "version": 1,
+        "system": {"emitters": [{"energy": 0.0, "gamma": 1.4}]},
+        "irf_fwhm_ns": 0.1,
+        "simulate": {"mc": False, "coincidences": {"n_events": 1000}},
+    }
+
+
+def write_fit_curve(path):
+    tau = np.linspace(-5.0, 5.0, 101)
+    values = dk.g2_general(dk.identical_system(2, 1.4, 2.5, 1.0), tau)
+    dk.write_curve(path, dk.G2Curve(tau, values, np.full(tau.size, 0.01)))
+
+
+class TestConfigValues:
+    """Ill-typed values end in ``error:config`` before any work is done."""
+
+    @pytest.mark.parametrize(
+        "command, keys, value",
+        [
+            ("fit", ("fit", "n_restarts"), "x"),
+            ("fit", ("fit", "n_restarts"), 1.5),
+            ("fit", ("fit", "irf_fwhm_ns"), "abc"),
+            ("fit", ("fit", "coherent"), "yes"),
+            ("fit", ("fit", "shared"), ["sigma"]),
+            ("fit", ("fit", "curves", 0, "fixed", "n"), "two"),
+            ("fit", ("fit", "curves", 0, "fixed", "n"), 2.5),
+            ("fit", ("fit", "curves", 0, "fixed", "gamma_pd"), "slow"),
+            ("fit", ("fit", "curves", 0, "fixed", "gamma_pd"), None),
+            ("fit", ("fit", "curves", 0, "fixed"), [2, 0.0]),
+            ("fit", ("fit", "curves", 0, "data"), "missing.tsv"),
+            ("model", ("irf_fwhm_ns",), "abc"),
+            ("model", ("grid", "tau_max_ns"), float("inf")),
+            ("model", ("irf_fwhm_ns",), float("nan")),
+            ("model", ("system", "emitters", 0, "gamma_pd"), "x"),
+            ("model", ("system", "reference_energy"), "zero"),
+            ("simulate", ("simulate", "n_real"), "many"),
+            ("simulate", ("simulate", "coincidences", "bin_ns"), "fine"),
+            ("simulate", ("simulate", "coincidences", "bin_ns"), 0.0),
+            ("simulate", ("simulate", "coincidences", "normalization_window_ns"), ["a", 10]),
+        ],
+    )
+    def test_rejected_as_config_error(self, tmp_path, capsys, command, keys, value):
+        config = {"fit": fit_config(), "model": model_config(), "simulate": simulate_config()}[
+            command
+        ]
+        write_fit_curve(tmp_path / "curve.tsv")
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = write_yaml(tmp_path / "config.yaml", config)
+        assert run_cli(command, "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:")
+        assert "Traceback" not in err
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.yaml")
+        assert run_cli("model", "--config", missing, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_valid_fit_config_runs(self, tmp_path):
+        write_fit_curve(tmp_path / "curve.tsv")
+        path = write_yaml(tmp_path / "config.yaml", fit_config())
+        assert run_cli("fit", "--config", path, "--out", str(tmp_path / "out")) == 0
+
+
 class TestCmdModel:
     def test_three_emitter_summary(self, tmp_path):
         # ideal 4/3 peak, ~1.2 through the 100 ps response
@@ -333,6 +419,19 @@ class TestCmdFit:
             for row in (out / "fit_params.tsv").read_text().splitlines()[1:]
         )
         assert rows["residual_norm"] < 1e-6
+
+
+    @pytest.mark.parametrize(
+        "rows", ["0.0\t1.0\t0.1\n0.1\tx\t0.1\n", "0.0\t1.0\t0.1\n0.1\t1.0\n"]
+    )
+    def test_malformed_data_file(self, tmp_path, capsys, rows):
+        # A non-numeric cell or a ragged row names the file; no traceback.
+        (tmp_path / "curve.tsv").write_text("# tau_ns\tg2\tstderr\n" + rows)
+        path = write_yaml(tmp_path / "config.yaml", fit_config())
+        assert run_cli("fit", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:parameter: curve file ")
+        assert "curve.tsv" in err and "Traceback" not in err
 
 
 class TestCmdTune:

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
+from scipy.optimize._numdiff import approx_derivative
 from hypothesis import strategies as st
 
 import dotkit as dk
-from dotkit.fitting import OverlappingPeaksWarning, _peak_model, _peak_start
+from dotkit.fitting import (
+    G2_PARAM_NAMES,
+    OverlappingPeaksWarning,
+    _joint_problem,
+    _peak_model,
+    _peak_start,
+)
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
 
@@ -190,10 +197,10 @@ class TestJointFit:
         assert per_curve[0]["gamma_pd"] == per_curve[1]["gamma_pd"]
         assert per_curve[0]["gamma"] != per_curve[1]["gamma"]
 
-    def test_objective_evaluation_budget(self, monkeypatch):
+    @staticmethod
+    def benchmark_fit_inputs():
         # The benchmark's fit: three 1e5-event curves, one shared sigma,
-        # per-curve gamma and scale, one start. A least-squares fit of these
-        # seven parameters needs a few hundred model evaluations at most.
+        # per-curve gamma and scale, one start.
         datasets, specs = [], []
         for k, (n, gamma) in enumerate(((1, 1.9), (2, 2.0), (3, 1.4))):
             system = dk.identical_system(n, gamma, REF_GAMMA_PD, REF_SIGMA)
@@ -214,18 +221,56 @@ class TestJointFit:
                     n_restarts=1,
                 )
             )
-        calls = 0
+        return datasets, specs
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        calls = []
         evaluate = dk.fitting.evaluate_fit_model
 
         def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls.append(1)
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(dk.fitting, "evaluate_fit_model", counting)
+        return calls
+
+    def test_objective_evaluation_budget(self, monkeypatch):
+        # A least-squares fit of these seven parameters needs a few hundred
+        # model evaluations at most.
+        datasets, specs = self.benchmark_fit_inputs()
+        calls = self.count_evaluations(monkeypatch)
         result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
         assert result.converged
-        assert calls <= 400
+        assert len(calls) <= 400
+
+    def test_jacobian_evaluates_only_moved_curves(self, monkeypatch):
+        # Of the seven columns, sigma moves all three curves and each gamma
+        # one; a scale column rescales the kept model. So a Jacobian costs
+        # at most 3 + 3 = 6 model evaluations, where differencing the whole
+        # residual vector costs 7 x 3 = 21.
+        datasets, specs = self.benchmark_fit_inputs()
+        calls = self.count_evaluations(monkeypatch)
+        per_jacobian, solves = [], []
+        least_squares = scipy.optimize.least_squares
+
+        def spying(fun, x0, jac, **kwargs):
+            def counted(theta):
+                before = len(calls)
+                matrix = jac(theta)
+                per_jacobian.append(len(calls) - before)
+                return matrix
+
+            solves.append(least_squares(fun, x0, jac=counted, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", spying)
+        result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
+        assert result.converged
+        assert len(per_jacobian) == result.n_iterations == solves[0].njev
+        assert max(per_jacobian) <= 6
+        # A residual evaluation costs at most one model per curve.
+        assert len(calls) - sum(per_jacobian) <= 3 * solves[0].nfev
 
     def test_shared_name_must_be_free_everywhere(self):
         datasets = [synthetic_curve(2, 2.0, seed=7102, n_events=20_000)] * 2
@@ -243,6 +288,82 @@ class TestJointFit:
         ]
         with pytest.raises(dk.ParameterError):
             dk.fit_g2_joint(datasets, specs, shared=("gamma_pd",))
+
+
+# Bounds of the property test below; delta_ueV reaches below zero so that
+# steps of both signs occur.
+JAC_BOUNDS = {
+    "gamma": (0.05, 10.0),
+    "gamma_pd": (0.0, 10.0),
+    "sigma": (0.01, 5.0),
+    "delta_ueV": (-30.0, 60.0),
+    "scale": (0.9, 1.1),
+}
+JAC_TAU = np.linspace(-2.0, 2.0, 61)
+ROOT_EPS = np.sqrt(np.finfo(float).eps)
+
+
+@st.composite
+def joint_problems(draw):
+    """A 1-3 curve joint fit, its bounds, and a point anywhere in them.
+
+    A bound may be narrower than one finite-difference step, and a
+    coordinate may sit on a bound or within two steps of it.
+    """
+    n_curves = draw(st.integers(1, 3))
+    shared = draw(st.lists(st.sampled_from(G2_PARAM_NAMES), unique=True, max_size=2))
+    bounds = {}
+    for name, (lo, hi) in JAC_BOUNDS.items():
+        width = draw(st.sampled_from([None, None, None, 5e-9, 3e-8]))
+        bounds[name] = (lo, hi if width is None else lo + width)
+    irf = draw(st.sampled_from([None, IRF]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets, specs = [], []
+    for k in range(n_curves):
+        own = draw(
+            st.lists(
+                st.sampled_from([n for n in G2_PARAM_NAMES if n not in shared]),
+                unique=True,
+                min_size=0 if shared else 1,
+            )
+        )
+        free = {name: (bounds[name][0], *bounds[name]) for name in shared + own}
+        fixed = {"n": k + 1}
+        fixed.update({name: 1.0 for name in ("gamma", "sigma") if name not in free})
+        spec = dk.FitSpec(fixed=fixed, free=free, irf=irf)
+        truth = dk.identical_system(k + 1, 1.5, REF_GAMMA_PD, REF_SIGMA, spacing_uev=15.0)
+        values = dk.g2_general(truth, JAC_TAU) + 0.02 * gen.standard_normal(JAC_TAU.size)
+        errors = 0.02 + 0.01 * gen.uniform(size=JAC_TAU.size)
+        datasets.append(dk.G2Curve(JAC_TAU, values, errors))
+        specs.append(spec)
+    free, residuals, jacobian = _joint_problem(datasets, specs, shared)
+    lower = np.array([lo for _, lo, _ in free.values()])
+    upper = np.array([hi for _, _, hi in free.values()])
+    theta = []
+    for lo, hi in zip(lower, upper):
+        where = draw(st.sampled_from(["inside", "low", "high"]))
+        if where == "inside":
+            value = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        else:
+            edge = lo if where == "low" else hi
+            step = ROOT_EPS * max(1.0, abs(edge)) * draw(st.floats(0.0, 2.0))
+            value = edge + step if where == "low" else edge - step
+        theta.append(min(max(value, lo), hi))
+    return residuals, jacobian, np.array(theta), (lower, upper)
+
+
+class TestJointJacobian:
+    @settings(max_examples=60, deadline=None)
+    @given(joint_problems())
+    def test_matches_scipy_2_point_bit_for_bit(self, problem):
+        residuals, jacobian, theta, bounds = problem
+        expected = approx_derivative(residuals, theta, method="2-point", bounds=bounds)
+        got = jacobian(theta)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert got.flags.c_contiguous == expected.flags.c_contiguous
+        assert got.flags.f_contiguous == expected.flags.f_contiguous
 
 
 class TestSpectrumPeaks:
