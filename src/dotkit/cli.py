@@ -58,6 +58,10 @@ from .tuning import (
 )
 
 CONFIG_VERSION = 1
+# libyaml's loader and dumper where PyYAML was built with it; the same safe
+# schema either way.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 EMITTER_KEYS = {
     "energy",
@@ -150,9 +154,10 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"{path}: not valid YAML: {detail}") from exc
     _check_keys(raw, TOP_KEYS, "config")
     version = raw.get("version")
     if version != CONFIG_VERSION:
@@ -332,7 +337,7 @@ def _build_irf(config) -> Irf | None:
 
 
 def _echo_config(config, outdir: Path) -> None:
-    text = yaml.safe_dump(config, sort_keys=True)
+    text = yaml.dump(config, Dumper=_YAML_DUMPER, sort_keys=True)
     (outdir / "config.yaml").write_text(
         f"# dotkit effective run configuration (version {CONFIG_VERSION})\n" + text
     )

@@ -11,11 +11,25 @@ interference depends only on phase differences, so each emitter's phase is
 taken relative to a reference emitter's and enters through one cos/sin.
 Each distinct |tau| of the delay grid is sampled once; a grid that is
 exactly symmetric about zero therefore costs half its points.
+
+Realizations come in blocks, each drawn from its own substream, and the
+blocks run on a thread pool with one worker per core the process may use
+(numpy's random fills, cumsum and trig ufuncs release the GIL). Each worker
+reuses one workspace that the calling thread allocates: the reference
+emitter's phases for a block, which the block's per-realization samples
+then overwrite, and, for three or more emitters, the running field sums.
+The other emitters are drawn and combined in row chunks; chunked normal
+fills continue the stream exactly as one whole-block draw would. Every
+block is summed over the same array as in a sequential run and the block
+sums are added in block order, so the results do not depend on the number
+of cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +50,14 @@ from .errors import (
 )
 
 # Realizations are simulated in fixed-size blocks, each on its own RNG
-# substream, so a parallel split over blocks reproduces the sequential
-# result bit for bit.
+# substream (RngSeed.block_generator). The blocks are split over one worker
+# thread per usable core, worker w taking blocks w, w + W, ...; each block
+# is summed over its whole array and the block sums are added in block
+# order, so the result is the sequential one bit for bit for any W.
 BLOCK_SIZE = 20_000
+# Emitters other than a block's reference emitter are drawn and combined in
+# chunks of this many realizations, which bounds their buffers per worker.
+CHUNK_ROWS = 1_000
 
 
 @dataclass(frozen=True)
@@ -102,29 +121,59 @@ class G2Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _phase_trajectories(
+class _Workspace:
+    """Buffers one worker reuses for every block it simulates.
+
+    ``samples`` holds the reference emitter's phases of a block, which the
+    block's per-realization samples then overwrite. ``field`` holds the
+    running real and imaginary field sums; only three or more emitters need
+    them. ``phase`` and ``term`` are the row-chunk buffers of the other
+    emitters.
+    """
+
+    def __init__(self, rows: int, n_delays: int, field_sums: bool):
+        chunk = min(CHUNK_ROWS, rows)
+        self.samples = np.empty((rows, n_delays))
+        self.field = None
+        if field_sums:
+            self.field = (np.empty((rows, n_delays)), np.empty((rows, n_delays)))
+        self.phase = np.empty((chunk, n_delays))
+        self.term = np.empty((chunk, n_delays))
+
+
+def _phase_chunks(
     e: Emitter,
     omega: float,
     u: np.ndarray,
     n: int,
     gen: np.random.Generator,
-) -> np.ndarray:
-    """Phase samples phi(u) in rad of one emitter, shape (n, len(u)).
+    out: np.ndarray,
+    drift: np.ndarray,
+):
+    """Yield (rows, phi) for row chunks of one emitter's phase samples in rad.
 
     The emitter's first-order coherence is g1(u) = exp(-gamma u / 2)
     exp(i phi(u)). ``u`` is a sorted grid of nonnegative delays; the Wiener
     dephasing phase accumulates over its segments. ``omega`` is the
     deterministic angular frequency in rad/ns (already referenced to keep
     phases small). Draws one frequency offset per realization, then one
-    normal per realization and delay; the array is built in place.
+    normal per realization and delay, chunk by chunk in row order: the same
+    numbers as one (n, len(u)) draw. A chunk is built in ``out[rows]`` when
+    ``out`` has n rows, else in the head of ``out``, which every chunk then
+    reuses; ``drift`` is a work buffer with at least a chunk's rows.
     """
     offsets = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
-    segments = np.diff(u, prepend=0.0)
-    phase = gen.normal(size=(n, u.size))
-    phase *= np.sqrt(2.0 * e.gamma_pd * segments)
-    np.cumsum(phase, axis=1, out=phase)
-    phase += (omega + offsets) * u
-    return phase
+    steps = np.sqrt(2.0 * e.gamma_pd * np.diff(u, prepend=0.0))
+    for start in range(0, n, CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, n))
+        size = rows.stop - start
+        phase = out[rows] if len(out) >= n else out[:size]
+        gen.standard_normal(out=phase)
+        phase *= steps
+        np.cumsum(phase, axis=1, out=phase)
+        np.multiply(omega + offsets[rows], u, out=drift[:size])
+        phase += drift[:size]
+        yield rows, phase
 
 
 def _block_sizes(n_real: int) -> list[int]:
@@ -132,6 +181,55 @@ def _block_sizes(n_real: int) -> list[int]:
     if n_real % BLOCK_SIZE:
         sizes.append(n_real % BLOCK_SIZE)
     return sizes
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: bool = False):
+    """Mean and standard error per delay of n_real per-realization samples.
+
+    ``fill(gen, workspace, size)`` writes one block's samples to
+    ``workspace.samples[:size]``, drawing from ``gen``. The blocks run on
+    one worker per usable core, the calling thread included: worker w takes
+    blocks w, w + W, ... with the workspace the calling thread made for it.
+    Each block is summed over its whole array, as in a sequential run, and
+    the block sums are added in block order, so the result is the
+    sequential one bit for bit whatever W is. Workers call private helpers
+    only, so a wrapper around a public function sees one call on one thread.
+    """
+    sizes = _block_sizes(n_real)
+    workers = min(_usable_cores(), len(sizes))
+    workspaces = [_Workspace(sizes[0], n_delays, field_sums) for _ in range(workers)]
+    sums = [None] * len(sizes)
+
+    def work(w: int) -> None:
+        for block in range(w, len(sizes), workers):
+            samples = workspaces[w].samples[: sizes[block]]
+            fill(rng.block_generator(block), workspaces[w], sizes[block])
+            block_sum = samples.sum(axis=0)
+            samples *= samples
+            sums[block] = block_sum, samples.sum(axis=0)
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(work, w) for w in range(1, workers)]
+            work(0)
+            for helper in helpers:
+                helper.result()
+    total = np.zeros(n_delays)
+    total_sq = np.zeros(n_delays)
+    for block_sum, block_sum_sq in sums:
+        total += block_sum
+        total_sq += block_sum_sq
+    mean = total / n_real
+    var = np.maximum(total_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
+    return mean, np.sqrt(var / n_real)
 
 
 def mc_coherence_pair(
@@ -157,20 +255,18 @@ def mc_coherence_pair(
     om_i = (e_i.energy - mid) / HBAR_UEV_NS
     om_j = (e_j.energy - mid) / HBAR_UEV_NS
     decay = np.exp(-0.5 * e_i.gamma * u) * np.exp(-0.5 * e_j.gamma * u)
-    total = np.zeros(u.size)
-    total_sq = np.zeros(u.size)
-    for block, size in enumerate(_block_sizes(n_real)):
-        gen = rng.block_generator(block)
-        product = _phase_trajectories(e_i, om_i, u, size, gen)
-        product -= _phase_trajectories(e_j, om_j, u, size, gen)
-        np.cos(product, out=product)
-        product *= decay
-        total += product.sum(axis=0)
-        product *= product
-        total_sq += product.sum(axis=0)
-    mean = total / n_real
-    var = np.maximum(total_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
-    stderr = np.sqrt(var / n_real)
+
+    def fill(gen, ws, size):
+        product = ws.samples[:size]
+        for _ in _phase_chunks(e_i, om_i, u, size, gen, product, ws.term):
+            pass
+        for rows, phase_j in _phase_chunks(e_j, om_j, u, size, gen, ws.phase, ws.term):
+            chunk = product[rows]
+            chunk -= phase_j
+            np.cos(chunk, out=chunk)
+            chunk *= decay
+
+    mean, stderr = _sample_mean(rng, n_real, u.size, fill)
     mean, stderr = mean[inverse], stderr[inverse]
     if np.ndim(tau) == 0:
         return float(mean[0]), float(stderr[0])
@@ -207,37 +303,41 @@ def mc_g2(
     amplitudes = [w * np.exp(-0.5 * e.gamma * u) for e, w in zip(system.emitters, weights)]
     self_terms = (weights[:, None] ** 2 * decay).sum(axis=0)
 
-    coh_sum = np.zeros(u.size)
-    coh_sum_sq = np.zeros(u.size)
-    if len(system) > 1:
-        (e0, om0, a0), *others = zip(system.emitters, omegas, amplitudes)
-        for block, size in enumerate(_block_sizes(n_real)):
-            gen = rng.block_generator(block)
-            reference = _phase_trajectories(e0, om0, u, size, gen)
-            re = np.broadcast_to(a0, (size, u.size)).copy()
-            im = np.zeros((size, u.size))
-            term = np.empty((size, u.size))
-            for e, om, a in others:
-                psi = _phase_trajectories(e, om, u, size, gen)
-                psi -= reference
+    (e0, om0, a0), *others = zip(system.emitters, omegas, amplitudes)
+
+    def fill(gen, ws, size):
+        reference = ws.samples[:size]
+        for _ in _phase_chunks(e0, om0, u, size, gen, reference, ws.term):
+            pass
+        for k, (e, om, a) in enumerate(others):
+            for rows, psi in _phase_chunks(e, om, u, size, gen, ws.phase, ws.term):
+                term = ws.term[: len(psi)]
+                psi -= reference[rows]
                 np.cos(psi, out=term)
                 term *= a
-                re += term
                 np.sin(psi, out=psi)
                 psi *= a
-                im += psi
-            # In place: re becomes the sample re^2 + im^2 - sum_i a_i^2,
-            # then its square.
-            re *= re
-            im *= im
-            re += im
-            re -= self_terms
-            coh_sum += re.sum(axis=0)
-            re *= re
-            coh_sum_sq += re.sum(axis=0)
-    mean = coh_sum / n_real
-    var = np.maximum(coh_sum_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
-    stderr = np.sqrt(var / n_real)
+                # term and psi become the running field sums re and im.
+                if k == 0:
+                    term += a0
+                else:
+                    term += ws.field[0][rows]
+                    psi += ws.field[1][rows]
+                if k < len(others) - 1:
+                    ws.field[0][rows] = term
+                    ws.field[1][rows] = psi
+                    continue
+                # Last emitter: the sample re^2 + im^2 - sum_i a_i^2 goes
+                # over reference rows that are no longer needed.
+                term *= term
+                psi *= psi
+                term += psi
+                np.subtract(term, self_terms, out=reference[rows])
+
+    if others:
+        mean, stderr = _sample_mean(rng, n_real, u.size, fill, field_sums=len(others) > 1)
+    else:
+        mean = stderr = np.zeros(u.size)
 
     incoherent = (weights[:, None] ** 2 * (1.0 - decay)).sum(axis=0)
     cross = total_intensity**2 - (weights**2).sum()

@@ -12,6 +12,10 @@ contract it spells out:
   per realization (normal, scale 2 pi sigma), then one standard normal per
   realization and distinct |tau|, in row-major order;
 - the distinct delays are ``np.unique(|tau|)``.
+
+``sequential_g2`` and ``sequential_coherence_pair`` at the end are the
+oracle's own sequential block loop, frozen, for bit-for-bit checks of its
+threaded form.
 """
 
 import math
@@ -83,3 +87,79 @@ def g2(emitters, tau, n_real, seed, stream_id=0):
         + mean
     ) / norm
     return values[inverse], (stderr / norm)[inverse]
+
+
+# The oracle's sequential block loop on real phase differences, frozen as it
+# stood before its blocks were spread over threads. The threaded oracle must
+# match it bit for bit, so the arithmetic here is kept operation for
+# operation: the same in-place steps in the same order on whole blocks.
+
+
+def _sequential_phases(e, omega, u, n, gen):
+    offsets = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
+    segments = np.diff(u, prepend=0.0)
+    phase = gen.normal(size=(n, u.size))
+    phase *= np.sqrt(2.0 * e.gamma_pd * segments)
+    np.cumsum(phase, axis=1, out=phase)
+    phase += (omega + offsets) * u
+    return phase
+
+
+def sequential_coherence_pair(e_i, e_j, tau, n_real, seed, stream_id=0):
+    """(mean, stderr) as the sequential real-phase loop computed them."""
+    t = np.atleast_1d(np.abs(np.asarray(tau, dtype=float)))
+    u, inverse = np.unique(t, return_inverse=True)
+    mid = 0.5 * (e_i.energy + e_j.energy)
+    om_i = (e_i.energy - mid) / HBAR_UEV_NS
+    om_j = (e_j.energy - mid) / HBAR_UEV_NS
+    decay = np.exp(-0.5 * e_i.gamma * u) * np.exp(-0.5 * e_j.gamma * u)
+    total, total_sq = np.zeros(u.size), np.zeros(u.size)
+    for size, gen in _blocks(n_real, seed, stream_id):
+        product = _sequential_phases(e_i, om_i, u, size, gen)
+        product -= _sequential_phases(e_j, om_j, u, size, gen)
+        np.cos(product, out=product)
+        product *= decay
+        total += product.sum(axis=0)
+        product *= product
+        total_sq += product.sum(axis=0)
+    mean, stderr = _mean_and_stderr(total, total_sq, n_real)
+    return mean[inverse], stderr[inverse]
+
+
+def sequential_g2(emitters, tau, n_real, seed, stream_id=0):
+    """(values, stderr) as the sequential real-phase loop computed them."""
+    u, inverse = np.unique(np.abs(np.asarray(tau, dtype=float)), return_inverse=True)
+    weights = np.array([e.intensity for e in emitters])
+    energies = np.array([e.energy for e in emitters])
+    omegas = (energies - energies.mean()) / HBAR_UEV_NS
+    decay = np.array([np.exp(-e.gamma * u) for e in emitters])
+    amplitudes = [w * np.exp(-0.5 * e.gamma * u) for e, w in zip(emitters, weights)]
+    self_terms = (weights[:, None] ** 2 * decay).sum(axis=0)
+    total, total_sq = np.zeros(u.size), np.zeros(u.size)
+    (e0, om0, a0), *others = zip(emitters, omegas, amplitudes)
+    for size, gen in _blocks(n_real, seed, stream_id):
+        reference = _sequential_phases(e0, om0, u, size, gen)
+        re = np.broadcast_to(a0, (size, u.size)).copy()
+        im = np.zeros((size, u.size))
+        term = np.empty((size, u.size))
+        for e, om, a in others:
+            psi = _sequential_phases(e, om, u, size, gen)
+            psi -= reference
+            np.cos(psi, out=term)
+            term *= a
+            re += term
+            np.sin(psi, out=psi)
+            psi *= a
+            im += psi
+        re *= re
+        im *= im
+        re += im
+        re -= self_terms
+        total += re.sum(axis=0)
+        re *= re
+        total_sq += re.sum(axis=0)
+    mean, stderr = _mean_and_stderr(total, total_sq, n_real)
+    norm = weights.sum() ** 2
+    incoherent = (weights[:, None] ** 2 * (1.0 - decay)).sum(axis=0)
+    cross = norm - (weights**2).sum()
+    return ((incoherent + cross + mean) / norm)[inverse], (stderr / norm)[inverse]

@@ -146,6 +146,15 @@ class TestConfigValues:
         assert err.startswith("error:config:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["version: 1\ngrid: [1, 2\n", "version: 1\n\tgrid: {}\n"])
+    def test_invalid_yaml_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert run_cli("model", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:")
+        assert err.count("\n") == 1
+
     def test_unreadable_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")
         assert run_cli("model", "--config", missing, "--out", str(tmp_path / "out")) == 2
@@ -295,13 +304,13 @@ class TestCmdSimulate:
     @pytest.mark.parametrize("n_points", [60, 61])
     def test_each_delay_sampled_once(self, tmp_path, monkeypatch, n_points):
         sampled = []
-        original = dk.montecarlo._phase_trajectories
+        original = dk.montecarlo._phase_chunks
 
-        def recording(e, omega, u, n, gen):
+        def recording(e, omega, u, *args):
             sampled.append(u.size)
-            return original(e, omega, u, n, gen)
+            return original(e, omega, u, *args)
 
-        monkeypatch.setattr(dk.montecarlo, "_phase_trajectories", recording)
+        monkeypatch.setattr(dk.montecarlo, "_phase_chunks", recording)
         config = self.simulate_config()
         config["grid"]["n_points"] = n_points
         del config["simulate"]["coincidences"]
