@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.special import ndtri
 
 from .emitters import (
     Emitter,
@@ -181,7 +181,6 @@ def load_config(path) -> dict:
         _validate_fit(raw["fit"])
     if "tune" in raw:
         _validate_tune(raw["tune"])
-    _integer(raw, "seed", "config", default=0)
     return raw
 
 
@@ -407,7 +406,7 @@ def _oracle_report(curve: G2Curve, analytic: np.ndarray, n_real: int) -> list[st
     distinct, inverse = np.unique(np.abs(curve.delays), return_inverse=True)
     delay_pulls = np.zeros(distinct.size)
     np.maximum.at(delay_pulls, inverse, pulls)
-    threshold = float(ndtri(1.0 - 0.005 / distinct.size))
+    threshold = statistics.NormalDist().inv_cdf(1.0 - 0.005 / distinct.size)
     return [
         f"n_points = {dev.size}",
         f"n_distinct_delays = {distinct.size}",
@@ -638,7 +637,9 @@ def main(argv=None) -> int:
             )
         config["kind"] = args.command
         if args.seed is not None:
-            config["seed"] = int(args.seed)
+            config["seed"] = args.seed
+        if _integer(config, "seed", "config", default=0) < 0:
+            raise ConfigError(f"config.seed: expected an integer >= 0, got {config['seed']!r}")
         config.setdefault("seed", 0)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
-from scipy.signal import find_peaks, peak_widths
+import scipy  # submodules load on first use, so a subcommand pays only for what it calls
 
 from .emitters import (
     EmitterSystem,
@@ -444,11 +443,11 @@ def _initial_peaks(x, y, n_peaks, instrument_fwhm):
     instrument resolutions.
     """
     min_distance = max(int(instrument_fwhm / (x[1] - x[0])), 1)
-    idx, _ = find_peaks(y, prominence=0.05 * np.ptp(y), distance=min_distance)
+    idx, _ = scipy.signal.find_peaks(y, prominence=0.05 * np.ptp(y), distance=min_distance)
     idx = np.sort(idx[np.argsort(y[idx])[::-1]][:n_peaks])
     widths = np.full(n_peaks, 1.2 * instrument_fwhm)
     if idx.size == n_peaks:
-        measured = peak_widths(y, idx, rel_height=0.5)[0] * (x[1] - x[0])
+        measured = scipy.signal.peak_widths(y, idx, rel_height=0.5)[0] * (x[1] - x[0])
         widths = np.maximum(measured, widths)
     guesses = list(x[idx])
     anchor = guesses[0] if guesses else float(x[np.argmax(y)])

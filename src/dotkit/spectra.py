@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import voigt_profile
+import scipy  # submodules load on first use, so a subcommand pays only for what it calls
 
 from .emitters import (
     GAUSSIAN_FWHM_SIGMA,
@@ -133,8 +133,8 @@ def synth_spectrum(
             np.hypot(fwhm_from_sigma(e.sigma), instrument.resolution_fwhm)
             / GAUSSIAN_FWHM_SIGMA
         )
-        lor_hwhm = 0.5 * lorentzian_fwhm(e.gamma, e.gamma_pd)
-        intensity += e.intensity * voigt_profile(grid - e.energy, gauss_sigma, lor_hwhm)
+        hwhm = 0.5 * lorentzian_fwhm(e.gamma, e.gamma_pd)
+        intensity += e.intensity * scipy.special.voigt_profile(grid - e.energy, gauss_sigma, hwhm)
     if np.isfinite(noise_snr):
         if noise_snr <= 0:
             raise ParameterError(f"noise SNR must be > 0, got {noise_snr}")

@@ -1,5 +1,11 @@
 """Config-driven front end: validation, outputs, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -155,6 +161,20 @@ class TestConfigValues:
         assert err.startswith("error:config:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, config_seed, flag",
+        [("simulate", 0, ["--seed", "-3"]), ("simulate", -5, []), ("tune", -5, [])],
+    )
+    def test_negative_seed(self, tmp_path, capsys, command, config_seed, flag):
+        # The seed in effect, after any --seed override, must be an integer >= 0.
+        config = simulate_config() if command == "simulate" else TestCmdTune().tune_config()
+        config["seed"] = config_seed
+        path = write_yaml(tmp_path / "config.yaml", config)
+        assert run_cli(command, "--config", path, *flag, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: config.seed:")
+        assert "Traceback" not in err
+
     def test_unreadable_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")
         assert run_cli("model", "--config", missing, "--out", str(tmp_path / "out")) == 2
@@ -215,6 +235,53 @@ class TestCmdModel:
         blurred = dk.convolve_irf(dk.G2Curve(tau, g2), dk.Irf(0.1)).values
         np.testing.assert_allclose([float(row[2]) for row in rows], blurred, rtol=0, atol=1e-9)
 
+
+HEAVY_SCIPY = ("scipy.optimize", "scipy.signal", "scipy.stats", "scipy.special", "scipy.linalg")
+# Imports dotkit.cli, runs main on the argv given as JSON (none: import only),
+# then prints which of the modules given as JSON are loaded.
+IMPORT_PROBE = """
+import json, sys
+import dotkit.cli
+argv = json.loads(sys.argv[1])
+if argv and dotkit.cli.main(argv) != 0:
+    sys.exit("cli failed")
+print(json.dumps([name for name in json.loads(sys.argv[2]) if name in sys.modules]))
+"""
+
+
+class TestImportMap:
+    """Each subcommand loads only the scipy submodules it calls (fresh interpreters)."""
+
+    @staticmethod
+    def loaded(*argv):
+        src = str(Path(dk.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv), json.dumps(HEAVY_SCIPY)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_import_loads_none(self):
+        assert self.loaded() == set()
+
+    @pytest.mark.parametrize("command", ["model", "simulate"])
+    def test_model_and_simulate_load_none(self, tmp_path, command):
+        config = model_config()
+        if command == "simulate":
+            config["grid"]["n_points"] = 21
+            config["simulate"] = {"n_real": 2000, "coincidences": {"n_events": 1000}}
+        path = write_yaml(tmp_path / "config.yaml", config)
+        assert self.loaded(command, "--config", path, "--out", str(tmp_path / "out")) == set()
+
+    def test_fit_loads_optimizer_not_signal(self, tmp_path):
+        write_fit_curve(tmp_path / "curve.tsv")
+        path = write_yaml(tmp_path / "config.yaml", fit_config())
+        loaded = self.loaded("fit", "--config", path, "--out", str(tmp_path / "out"))
+        assert "scipy.optimize" in loaded
+        assert not loaded & {"scipy.signal", "scipy.stats"}
 
 class TestBuildGrid:
     @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])
