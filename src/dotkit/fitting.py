@@ -435,20 +435,85 @@ def _peak_model(theta, x):
     return model, jac
 
 
+def _prominence(y, p):
+    """Prominence of the maximum at ``p`` and its left and right bases.
+
+    Each side runs from ``p`` up to the first higher sample (or the end);
+    its base is the lowest sample there, the one nearest ``p`` on ties.
+    This is ``scipy.signal.peak_prominences`` with no window.
+    """
+    higher = np.flatnonzero(y[:p] > y[p])
+    lo = higher[-1] + 1 if higher.size else 0
+    higher = np.flatnonzero(y[p + 1 :] > y[p])
+    hi = p + higher[0] if higher.size else y.size - 1
+    left = p - int(np.argmin(y[lo : p + 1][::-1]))
+    right = p + int(np.argmin(y[p : hi + 1]))
+    return y[p] - max(y[left], y[right]), left, right
+
+
+def _half_width(y, p, prominence, left, right):
+    """Width in samples at half the prominence, interpolated between
+    samples and searched within the bases (``scipy.signal.peak_widths``)."""
+    height = y[p] - prominence * 0.5
+    below = np.flatnonzero(y[left + 1 : p + 1] <= height)
+    i = left + 1 + below[-1] if below.size else left
+    start = i + ((height - y[i]) / (y[i + 1] - y[i]) if y[i] < height else 0.0)
+    below = np.flatnonzero(y[p:right] <= height)
+    i = p + below[0] if below.size else right
+    stop = i - ((height - y[i]) / (y[i - 1] - y[i]) if y[i] < height else 0.0)
+    return stop - start
+
+
+def _prominent_maxima(y, floor, distance, count):
+    """Indices (ascending) and half-maximum widths of the ``count`` tallest
+    maxima that ``scipy.signal.find_peaks(y, prominence=floor,
+    distance=distance)`` keeps; widths only when ``count`` were found.
+
+    Local maxima (a flat top counts once, at its middle sample) are taken
+    tallest first; one within ``distance`` samples of an earlier kept
+    maximum is dropped, and a kept one counts when its prominence reaches
+    ``floor``. Visiting tallest first stops after ``count`` such maxima
+    instead of measuring every noise bump.
+    """
+    changes = np.flatnonzero(y[1:] != y[:-1])  # y[i] != y[i + 1]
+    rises = y[changes + 1] > y[changes]
+    top = np.flatnonzero(rises[:-1] & ~rises[1:])
+    maxima = (changes[top] + 1 + changes[top + 1]) // 2
+    blocked = np.zeros(y.size, dtype=bool)
+    found = []
+    for p in maxima[np.argsort(y[maxima])[::-1]]:
+        if len(found) == count and y[p] < y[found[-1][0]]:
+            break  # every maximum left is lower than the count found
+        if blocked[p]:
+            continue
+        blocked[max(p - distance + 1, 0) : p + distance] = True
+        prominence, left, right = _prominence(y, p)
+        if prominence >= floor:
+            found.append((p, prominence, left, right))
+    found.sort()
+    idx = np.array([f[0] for f in found], dtype=int)
+    if len(found) < count:
+        return idx, None
+    if len(found) > count:
+        # Tied for the last place: pick as argsort does over every kept maximum.
+        chosen = np.sort(idx[np.argsort(y[idx])[::-1]][:count])
+        found = [f for f in found if f[0] in chosen]
+        idx = chosen
+    return idx, np.array([_half_width(y, *f) for f in found])
+
+
 def _initial_peaks(x, y, n_peaks, instrument_fwhm):
     """Center and FWHM guesses for ``n_peaks`` lines, sorted by center.
 
-    When ``find_peaks`` resolves every requested line, each width guess is
-    its measured half-maximum width; otherwise all widths start at 1.2
+    When every requested line is resolved, each width guess is its
+    measured half-maximum width; otherwise all widths start at 1.2
     instrument resolutions.
     """
     min_distance = max(int(instrument_fwhm / (x[1] - x[0])), 1)
-    idx, _ = scipy.signal.find_peaks(y, prominence=0.05 * np.ptp(y), distance=min_distance)
-    idx = np.sort(idx[np.argsort(y[idx])[::-1]][:n_peaks])
+    idx, measured = _prominent_maxima(y, 0.05 * np.ptp(y), min_distance, n_peaks)
     widths = np.full(n_peaks, 1.2 * instrument_fwhm)
-    if idx.size == n_peaks:
-        measured = scipy.signal.peak_widths(y, idx, rel_height=0.5)[0] * (x[1] - x[0])
-        widths = np.maximum(measured, widths)
+    if measured is not None:
+        widths = np.maximum(measured * (x[1] - x[0]), widths)
     guesses = list(x[idx])
     anchor = guesses[0] if guesses else float(x[np.argmax(y)])
     offset = 1

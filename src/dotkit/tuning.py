@@ -8,9 +8,11 @@ irreversible (blue only); the reversible knob is the linear Stark bias.
 
 The controller measures energies the way the experiment does: it
 synthesizes a windowed high-resolution scan of one emitter at a time
-(the others gated away via Stark bias) and fits the line center. The
-exposure journal records, per pulse, the meter's rescans (window
-widenings plus recenters).
+(the others gated away via Stark bias) and fits the line center. After
+each pulse it measures only the line it stepped; an alignment re-measures
+the other selected lines once when it stops stepping a line. The exposure
+journal records, per pulse, the energies measured after it and the
+meter's rescans (window widenings plus recenters).
 """
 
 from __future__ import annotations
@@ -411,33 +413,41 @@ def _tune_loop(
 
     Starts from the controller's nominal response rate and blends each
     measured shift back into it, so the loop calibrates itself against
-    the actual plant. ``measure_all`` lists further lines to re-measure
-    after every pulse (crosstalk absorption during alignment).
+    the actual plant. Only the stepped line is measured after each pulse.
+    ``measure_all`` lists further lines to re-measure once when a loop
+    that pulsed stops (crosstalk absorption during alignment); those
+    readings join the last pulse's record, so every record lists exactly
+    the lines measured after its pulse.
     """
     site = state.system.emitters[index].position
     rate = cfg.nominal_response
     energy = measured[index]
+    first = len(log)
     while energy < target_fn() - tolerance:
         budget.spend(log)
         step = _plan_step(target_fn() - energy, tolerance, cfg.step_noise)
         pulse = _plan_pulse(cfg, site, step, rate)
         apply_exposure(state, cfg, pulse, gen)
-        refs = []
         measured[index] = meter.measure(state, index, gen, expected=energy + step)
-        refs.append(meter.last_ref)
-        rescans = meter.last_rescans
-        for other in measure_all:
-            if other != index:
-                measured[other] = meter.measure(state, other, gen)
-                refs.append(meter.last_ref)
-                rescans += meter.last_rescans
-        log.append(ExposureRecord(pulse, dict(measured), tuple(refs), rescans))
+        log.append(
+            ExposureRecord(pulse, {index: measured[index]}, (meter.last_ref,), meter.last_rescans)
+        )
         observed = measured[index] - energy
         dose = (pulse.power - cfg.threshold_at(site)) * pulse.duration
         if observed > 3.0 * cfg.step_noise and dose > 0:
             # Self-calibration: blend the measured response into the rate.
             rate = 0.7 * rate + 0.3 * observed / dose
         energy = measured[index]
+    if len(log) == first:
+        return
+    last = log.records[-1]
+    energies, refs, rescans = dict(last.energies), list(last.spectra), last.rescans
+    for other in measure_all:
+        if other != index:
+            energies[other] = measured[other] = meter.measure(state, other, gen)
+            refs.append(meter.last_ref)
+            rescans += meter.last_rescans
+    log.records[-1] = ExposureRecord(last.pulse, energies, tuple(refs), rescans)
 
 
 def tune_to_target(
@@ -504,10 +514,13 @@ def align_resonance(
 
     The target is the bluest selected line plus a guard band covering the
     noise creep it will pick up while the others are tuned; emitters are
-    stepped in ascending energy order and every selected line is
-    re-measured after each exposure so crosstalk is absorbed by the loop.
+    stepped in ascending energy order. Only the stepped line is measured
+    after each exposure; when its loop stops, every other selected line is
+    re-measured once, so crosstalk is absorbed by the loop and the
+    convergence test always sees readings taken after the last pulse.
     Succeeds when all pairwise measured detunings are within tolerance
-    (with an internal margin for the readout error).
+    (with an internal margin for the readout error); the last journal
+    record then lists those readings for every selected line.
     """
     indices = list(emitter_indices)
     if len(indices) < 2:

@@ -283,6 +283,13 @@ class TestImportMap:
         assert "scipy.optimize" in loaded
         assert not loaded & {"scipy.signal", "scipy.stats"}
 
+    def test_tune_loads_optimizer_not_signal(self, tmp_path):
+        path = write_yaml(tmp_path / "tune.yaml", TestCmdTune().tune_config())
+        out = str(tmp_path / "out")
+        loaded = self.loaded("tune", "--config", path, "--seed", "9", "--out", out)
+        assert "scipy.optimize" in loaded
+        assert not loaded & {"scipy.signal", "scipy.stats"}
+
 class TestBuildGrid:
     @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])
     @pytest.mark.parametrize("tau_max", [0.7, 3.0, 10.0])
@@ -536,6 +543,22 @@ class TestCmdTune:
             assert (out / name).exists()
         log = dk.read_journal(out / "journal.txt")
         assert len(log) == int(report["n_exposures"])
+
+    def test_last_journal_line_lists_every_target(self, tmp_path):
+        config = self.tune_config()
+        config["system"]["emitters"].append(
+            {"energy": E0 + 2100.0, "gamma": 0.7, "gamma_pd": 2.5, "sigma": 1.0, "position": 9.5}
+        )
+        config["tune"]["targets"] = [0, 1, 2]
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", path, "--seed", "9", "--out", str(out)) == 0
+        last = (out / "journal.txt").read_text().splitlines()[-1].split("\t")
+        energies = dict(item.split("=") for item in last[4].split(";"))
+        assert sorted(int(k) for k in energies) == [0, 1, 2]
+        assert len(last[5].split(",")) == 3
+        values = [float(v) for v in energies.values()]
+        assert max(values) - min(values) <= 0.75 * 2.0
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_yaml(tmp_path / "tune.yaml", self.tune_config())

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.signal
 from hypothesis import given, settings
 from scipy.optimize._numdiff import approx_derivative
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from dotkit.fitting import (
     _joint_problem,
     _peak_model,
     _peak_start,
+    _prominent_maxima,
 )
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
@@ -515,3 +517,73 @@ class TestPeakFitEstimator:
             for peak, center, err in zip(peaks, oracle_centers, oracle_errors):
                 assert peak.center == pytest.approx(center, abs=1e-6)
                 assert peak.center_err == pytest.approx(err, rel=1e-5)
+
+
+def scipy_maxima(y, floor, distance, count):
+    """The seeder's oracle: the ``count`` tallest of ``find_peaks``' maxima
+    (ascending) and, when it kept that many, their ``peak_widths``."""
+    idx, _ = scipy.signal.find_peaks(y, prominence=floor, distance=distance)
+    idx = np.sort(idx[np.argsort(y[idx])[::-1]][:count])
+    if idx.size < count:
+        return idx, None
+    return idx, scipy.signal.peak_widths(y, idx, rel_height=0.5)[0]
+
+
+def assert_same_maxima(y, floor, distance, count):
+    idx, widths = _prominent_maxima(y, floor, distance, count)
+    want_idx, want_widths = scipy_maxima(y, floor, distance, count)
+    np.testing.assert_array_equal(idx, want_idx)
+    if want_widths is None:
+        assert widths is None
+    else:
+        np.testing.assert_array_equal(widths, want_widths)
+
+
+class TestPeakSeeder:
+    """The numpy seeder picks the samples and widths scipy.signal does, bit for bit."""
+
+    def meter_scans(self):
+        meter = dk.EnergyMeter()
+        line = dk.Emitter(1_300_000.0, REF_GAMMA, REF_GAMMA_PD, REF_SIGMA)
+        half = meter.window(line)
+        gen = dk.RngSeed(31).generator()
+        for _ in range(40):
+            center = line.energy + gen.uniform(-5.0, 5.0)
+            grid = np.arange(center - half, center + half + 0.5 * meter.step, meter.step)
+            system = dk.EmitterSystem((line,))
+            yield dk.synth_spectrum(system, meter.instrument, grid, meter.snr, gen)
+
+    def test_meter_scans(self):
+        scans = list(self.meter_scans())
+        assert 480 <= scans[0].energies.size <= 520
+        for spectrum in scans:
+            y = spectrum.intensities
+            assert_same_maxima(y, 0.05 * np.ptp(y), 4, 1)
+
+    def test_two_line_fixtures(self):
+        spectra = [spectrum for spectrum, n in TestPeakFitEstimator().meter_spectra() if n == 2]
+        peaks = TestSpectrumPeaks()
+        center = peaks.CENTER
+        grid = np.arange(center - 200.0, center + 200.0, 0.6)
+        overlapping = dk.EmitterSystem((peaks.line(center), peaks.line(center + 1.5)))
+        spectra.append(dk.synth_spectrum(overlapping, dk.Instrument.fabry_perot(), grid))
+        two = dk.EmitterSystem((peaks.line(center), peaks.line(center + 540.0)))
+        grid = np.arange(center - 300.0, center + 840.0, 0.6)
+        spectra.append(
+            dk.synth_spectrum(two, dk.Instrument.fabry_perot(), grid, 50.0, dk.RngSeed(21))
+        )
+        for spectrum in spectra:
+            y = spectrum.intensities
+            distance = int(spectrum.instrument.resolution_fwhm / spectrum.step)
+            assert_same_maxima(y, 0.05 * np.ptp(y), distance, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=st.lists(st.integers(-3, 3), min_size=0, max_size=40),
+        floor=st.sampled_from([0.0, 0.5, 2.0]),
+        distance=st.integers(1, 5),
+        count=st.integers(1, 4),
+    )
+    def test_plateaus_and_ties(self, y, floor, distance, count):
+        # Small integers make flat tops and equal heights common.
+        assert_same_maxima(np.array(y, dtype=float), floor, distance, count)

@@ -346,6 +346,58 @@ class TestDeterminismAndJournal:
             assert parsed.spectra == original.spectra
             assert parsed.energies == pytest.approx(original.energies)
 
+    def test_records_list_the_lines_measured_after_their_pulse(self):
+        # Only the stepped line is read after a pulse; when a line's loop
+        # stops, the other targets are read once more into its last record.
+        cfg = dk.PlantConfig()
+        state = make_state([E0 + 120.0, E0 + 2480.0, E0 + 4730.0], [6.0, 7.3, 8.6])
+        meter = dk.EnergyMeter()
+        log = dk.align_resonance(
+            state, cfg, [0, 1, 2], tolerance=2.0, rng=dk.RngSeed(22), meter=meter
+        )
+        assert len(log) > 0
+        for record in log:
+            assert len(record.spectra) == len(record.energies)
+        refs = [ref for record in log for ref in record.spectra]
+        assert len(set(refs)) == len(refs)
+        assert meter.counter == 3 + len(refs)  # the three opening readings, then these
+        assert any(len(record.energies) == 1 for record in log)
+        assert all(len(record.energies) in (1, 3) for record in log)
+
+    def test_last_record_lists_every_target_within_tolerance(self):
+        cfg = dk.PlantConfig()
+        tolerance = 2.0
+        for seed, energies in ((22, [120.0, 2480.0, 4730.0]), (25, [0.0, 900.0, 3100.0])):
+            state = make_state([E0 + e for e in energies], [6.0, 7.3, 8.6])
+            log = dk.align_resonance(
+                state, cfg, [0, 1, 2], tolerance=tolerance, rng=dk.RngSeed(seed)
+            )
+            last = log.records[-1].energies
+            assert sorted(last) == [0, 1, 2]
+            assert max(last.values()) - min(last.values()) <= 0.75 * tolerance
+
+    def test_round_trips_records_of_different_lines(self, tmp_path):
+        log = dk.ExposureLog()
+        pulse = dk.ExposurePulse(6.0, 3.0, 0.5)
+        log.append(dk.ExposureRecord(pulse, {1: E0 + 2.5}, ("scan00004",), 1))
+        log.append(
+            dk.ExposureRecord(
+                dk.ExposurePulse(7.3, 2.9, 0.1),
+                {0: E0 + 3.0, 1: E0 + 2.75, 2: E0 + 3.25},
+                ("scan00005", "scan00006", "scan00007"),
+                0,
+            )
+        )
+        pulse = dk.ExposurePulse(8.6, 2.6, 0.1)
+        log.append(dk.ExposureRecord(pulse, {2: E0 + 4.0}, ("scan00008",), 0))
+        path = tmp_path / "journal.txt"
+        dk.write_journal(path, log)
+        back = dk.read_journal(path)
+        assert [r.energies for r in back] == [r.energies for r in log]
+        assert [r.spectra for r in back] == [r.spectra for r in log]
+        assert [r.rescans for r in back] == [1, 0, 0]
+        assert [r.pulse for r in back] == [r.pulse for r in log]
+
     def test_rescans_round_trip(self, tmp_path):
         pulse = dk.ExposurePulse(7.0, 3.0, 0.5)
         log = dk.ExposureLog()
