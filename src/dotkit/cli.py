@@ -1,21 +1,22 @@
 """Config-driven batch front end.
 
 Subcommands ``model``, ``simulate``, ``fit`` and ``tune`` each take
-``--config <file> --seed <u64> --out <dir>``, validate the configuration
-strictly (unknown keys are rejected), echo the effective configuration
-into the output directory, and write plot-ready delimited text plus a
-structured report. Runs are deterministic given (config, seed).
+``--config <file> --seed <u64> --out <dir>``, check the configuration
+strictly before any work (unknown keys are rejected), echo it into the
+output directory, and write plot-ready delimited text plus a structured
+report. Runs are deterministic given (config, seed).
 
-Configuration files are YAML with a mandatory ``version: 1`` key; the
-full schema is documented in the package README.
+Configuration files are YAML with a mandatory ``version: 1`` key. Every key,
+its type and its default are declared once, in :data:`SCHEMA`, which
+:func:`parse_config` walks; the package README documents it.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import statistics
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,13 @@ from .montecarlo import (
     sample_coincidences,
     write_histogram,
 )
-from .spectra import Instrument, coverage_half_width, synth_spectrum, write_spectrum
+from .spectra import (
+    INSTRUMENT_KINDS,
+    Instrument,
+    coverage_half_width,
+    synth_spectrum,
+    write_spectrum,
+)
 from .tuning import (
     EnergyMeter,
     PlantConfig,
@@ -63,276 +70,248 @@ CONFIG_VERSION = 1
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-EMITTER_KEYS = {
-    "energy",
-    "gamma",
-    "gamma_pd",
-    "sigma",
-    "intensity",
-    "position",
-    "stark_coeff",
-}
-PLANT_KEYS = {
-    "max_shift",
-    "threshold_power",
-    "kink_power",
-    "destroy_power",
-    "edge_ratio",
-    "waveguide_length",
-    "growth_rate",
-    "kink_gain",
-    "kernel_sigma",
-    "step_noise",
-    "thermal_cycle_redshift",
-    "settling_shift",
-}
-METER_KEYS = {"snr", "half_window_ueV", "step_ueV", "instrument", "resolution_fwhm_ueV"}
-BOUND_KEYS = {"guess", "min", "max"}
-
-TOP_KEYS = {
-    "version",
-    "kind",
-    "seed",
-    "system",
-    "grid",
-    "irf_fwhm_ns",
-    "model",
-    "simulate",
-    "fit",
-    "tune",
-}
+# Readers: each checks one raw value and returns it typed, or raises a
+# ConfigError that names the value's path.
 
 
-def _check_keys(mapping, allowed, path):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+def _as_is(value, path):
+    return value
 
 
-def _number(mapping, key, path, default=None, required=False):
-    if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = mapping[key]
+def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int no float holds
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(mapping, key, path, default=None, required=False):
-    value = _number(mapping, key, path, default, required)
-    if value is None:
-        return None
-    if value != int(value):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+def _integer(value, path):
+    _number(value, path)
+    if value != int(value):  # the raw value: a float holds no int above 2**53 exactly
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return int(value)
 
 
-def _mapping(mapping, key, path):
-    value = mapping.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}: expected a mapping, got {value!r}")
-    return value
+def _positive(value, path):
+    number = _number(value, path)
+    if not number > 0:
+        raise ConfigError(f"{path}: must be > 0, got {number:g}")
+    return number
 
 
-def _boolean(mapping, key, path, default=False):
-    value = mapping.get(key, default)
+def _at_least(low):
+    def read(value, path):
+        if _integer(value, path) < low:
+            raise ConfigError(f"{path}: expected an integer >= {low}, got {value!r}")
+        return int(value)
+
+    return read
+
+
+def _boolean(value, path):
     if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {value!r}")
+        raise ConfigError(f"{path}: expected true/false, got {value!r}")
     return value
 
 
-def load_config(path) -> dict:
-    """Load and structurally validate a run configuration."""
+def _text(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(*choices):
+    def read(value, path):
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
+        return value
+
+    return read
+
+
+def _window(value, path):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path}: need [lo, hi]")
+    return [_number(v, path) for v in value]
+
+
+def _targets(value, path):
+    targets = _read([_integer], value, path)
+    if len(targets) < 2 or len(set(targets)) != len(targets):
+        raise ConfigError(f"{path}: need >= 2 distinct emitter indices, got {targets}")
+    return targets
+
+
+def _named(reader, **special):
+    """Reader of a mapping from parameter names to values read by ``reader``,
+    or by ``special[name]`` for the names given there."""
+
+    def read(value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+        return {k: _read(special.get(k, reader), v, f"{path}.{k}") for k, v in value.items()}
+
+    return read
+
+
+def _tune(value, path):
+    """The ``tune`` section, whose mode decides which target keys it takes."""
+    mode = value.get("mode") if isinstance(value, dict) else None
+    mode = _choice(*TUNE_MODES)("align" if mode is None else mode, f"{path}.mode")
+    return _section({**TUNE, **TUNE_MODES[mode]}, value, path)
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _fields(cls):
+    """Keys of a dataclass's number fields; those it gives no default are required."""
+    return {f.name: (_number, REQUIRED if f.default is MISSING else None) for f in fields(cls)}
+
+
+# Each key maps to (reader, default). A reader is a function, a dict (a
+# section, read key by key) or a one-item list (a non-empty list of that
+# item). The default is filled in when the key is absent or null; REQUIRED
+# makes that an error, and None leaves the key out, so that the library's
+# own default applies where the value is used.
+BOUNDS = dict.fromkeys(("guess", "min", "max"), (_number, REQUIRED))
+SYSTEM = {"reference_energy": (_number, None), "emitters": ([_fields(Emitter)], REQUIRED)}
+COINCIDENCES = {
+    "n_events": (_integer, REQUIRED),
+    "window_ns": (_positive, 10.0),
+    "bin_ns": (_positive, 0.02),
+    "normalization_window_ns": (_window, None),
+}
+SIMULATE = {
+    "mc": (_boolean, True),
+    "n_real": (_integer, 100_000),
+    "coincidences": (COINCIDENCES, None),
+}
+CURVE = {
+    "data": (_text, REQUIRED),
+    "fixed": (_named(_number, n=_integer), {}),  # FitSpec would truncate a fractional n
+    "free": (_named(BOUNDS), {}),
+}
+FIT = {
+    "model": (_choice("ideal", "general"), "ideal"),
+    "coherent": (_boolean, None),
+    "irf_fwhm_ns": (_number, None),
+    "n_restarts": (_integer, None),
+    "shared": (_named(BOUNDS), {}),
+    "curves": ([CURVE], REQUIRED),
+}
+METER = {
+    "instrument": (_choice(*INSTRUMENT_KINDS), "fabry_perot"),
+    "resolution_fwhm_ueV": (_positive, None),
+    "snr": (_positive, None),
+    "half_window_ueV": (_positive, None),
+    "step_ueV": (_positive, None),
+}
+TUNE_MODES = {
+    "align": {"targets": (_targets, REQUIRED)},
+    "single": {"emitter_index": (_integer, REQUIRED), "target_ueV": (_number, REQUIRED)},
+}
+TUNE = {  # the keys of either mode; _tune adds those of the section's mode
+    "mode": (_choice(*TUNE_MODES), "align"),
+    "tolerance_ueV": (_number, REQUIRED),
+    "max_exposures": (_at_least(0), 500),  # in both modes; tune_to_target's own is 200
+    "plant": (_fields(PlantConfig), {}),
+    "meter": (METER, {}),
+}
+SCHEMA = {
+    "version": (_choice(CONFIG_VERSION), REQUIRED),
+    "kind": (_as_is, None),  # main checks it against the subcommand
+    "seed": (_at_least(0), 0),
+    "system": (SYSTEM, None),
+    "grid": ({"tau_max_ns": (_positive, REQUIRED), "n_points": (_at_least(2), REQUIRED)}, None),
+    "irf_fwhm_ns": (_number, None),
+    "model": ({"coherent": (_boolean, True)}, {}),
+    "simulate": (SIMULATE, {}),
+    "fit": (FIT, None),
+    "tune": (_tune, None),
+}
+
+
+def _read(reader, value, path):
+    if isinstance(reader, dict):
+        return _section(reader, value, path)
+    if isinstance(reader, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: need a non-empty list")
+        return [_read(reader[0], item, f"{path}[{m}]") for m, item in enumerate(value)]
+    return reader(value, path)
+
+
+def _section(schema, raw, path):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+    typed = {}
+    for key, (reader, default) in schema.items():
+        value = raw.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{path}.{key}: required")
+            if default is None:
+                continue
+            value = default
+        typed[key] = _read(reader, value, f"{path}.{key}")
+    return typed
+
+
+def parse_config(raw) -> dict:
+    """Check, type and fill a raw configuration against :data:`SCHEMA`.
+
+    Returns a new nested dict: every given key typed, every schema default
+    filled in, and a key with neither left out. Raises ConfigError.
+    """
+    return _section(SCHEMA, raw, "config")
+
+
+def load_config(path):
+    """Read a YAML run configuration as written; :func:`parse_config` checks it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         detail = " ".join(str(exc).split())
         raise ConfigError(f"{path}: not valid YAML: {detail}") from exc
-    _check_keys(raw, TOP_KEYS, "config")
-    version = raw.get("version")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {version!r}")
-    if "system" in raw:
-        _validate_system(raw["system"])
-    _number(raw, "irf_fwhm_ns", "config")
-    if "grid" in raw:
-        grid = raw["grid"]
-        _check_keys(grid, {"tau_max_ns", "n_points"}, "config.grid")
-        if _number(grid, "tau_max_ns", "config.grid", required=True) <= 0:
-            raise ConfigError("config.grid.tau_max_ns: must be > 0")
-        if _integer(grid, "n_points", "config.grid", required=True) < 2:
-            raise ConfigError("config.grid.n_points: must be >= 2")
-    if "model" in raw:
-        _check_keys(raw["model"], {"coherent"}, "config.model")
-        _boolean(raw["model"], "coherent", "config.model", True)
-    if "simulate" in raw:
-        _validate_simulate(raw["simulate"])
-    if "fit" in raw:
-        _validate_fit(raw["fit"])
-    if "tune" in raw:
-        _validate_tune(raw["tune"])
-    return raw
 
 
-def _validate_system(system):
-    _check_keys(system, {"reference_energy", "emitters"}, "config.system")
-    emitters = system.get("emitters")
-    if not isinstance(emitters, list) or not emitters:
-        raise ConfigError("config.system.emitters: need a non-empty list")
-    _number(system, "reference_energy", "config.system")
-    for m, entry in enumerate(emitters):
-        path = f"config.system.emitters[{m}]"
-        _check_keys(entry, EMITTER_KEYS, path)
-        for key in sorted(EMITTER_KEYS):
-            _number(entry, key, path, required=key in ("energy", "gamma"))
+def _required(config, name):
+    if name not in config:
+        raise ConfigError(f"config.{name}: required for this command")
+    return config[name]
 
 
-def _validate_simulate(section):
-    _check_keys(section, {"mc", "n_real", "coincidences"}, "config.simulate")
-    _boolean(section, "mc", "config.simulate", True)
-    _integer(section, "n_real", "config.simulate")
-    if "coincidences" in section:
-        coin = section["coincidences"]
-        path = "config.simulate.coincidences"
-        _check_keys(coin, {"n_events", "window_ns", "bin_ns", "normalization_window_ns"}, path)
-        _integer(coin, "n_events", path, required=True)
-        for key in ("window_ns", "bin_ns"):
-            value = _number(coin, key, path)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{path}.{key}: must be > 0, got {value:g}")
-        window = coin.get("normalization_window_ns", [5.0, 10.0])
-        if not (isinstance(window, list) and len(window) == 2):
-            raise ConfigError(f"{path}.normalization_window_ns: need [lo, hi]")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window):
-            raise ConfigError(f"{path}.normalization_window_ns: expected numbers, got {window!r}")
-
-
-def _validate_bounds(entry, path):
-    _check_keys(entry, BOUND_KEYS, path)
-    for key in ("guess", "min", "max"):
-        _number(entry, key, path, required=True)
-
-
-def _validate_fit(section):
-    _check_keys(
-        section,
-        {"model", "coherent", "irf_fwhm_ns", "n_restarts", "shared", "curves"},
-        "config.fit",
-    )
-    if section.get("model", "ideal") not in ("ideal", "general"):
-        raise ConfigError("config.fit.model: must be 'ideal' or 'general'")
-    _boolean(section, "coherent", "config.fit", True)
-    _number(section, "irf_fwhm_ns", "config.fit")
-    _integer(section, "n_restarts", "config.fit")
-    curves = section.get("curves")
-    if not isinstance(curves, list) or not curves:
-        raise ConfigError("config.fit.curves: need a non-empty list")
-    for name, entry in _mapping(section, "shared", "config.fit").items():
-        _validate_bounds(entry, f"config.fit.shared.{name}")
-    for m, curve in enumerate(curves):
-        path = f"config.fit.curves[{m}]"
-        _check_keys(curve, {"data", "fixed", "free"}, path)
-        if not isinstance(curve.get("data"), str):
-            raise ConfigError(f"{path}.data: required path")
-        fixed = _mapping(curve, "fixed", path)
-        for name in fixed:
-            # The emitter count must be whole: FitSpec would truncate it.
-            convert = _integer if name == "n" else _number
-            convert(fixed, name, f"{path}.fixed", required=True)
-        for name, entry in _mapping(curve, "free", path).items():
-            _validate_bounds(entry, f"{path}.free.{name}")
-
-
-def _validate_tune(section):
-    _check_keys(
-        section,
-        {
-            "mode",
-            "targets",
-            "emitter_index",
-            "target_ueV",
-            "tolerance_ueV",
-            "max_exposures",
-            "plant",
-            "meter",
-        },
-        "config.tune",
-    )
-    mode = section.get("mode", "align")
-    if mode not in ("align", "single"):
-        raise ConfigError("config.tune.mode: must be 'align' or 'single'")
-    if mode == "align":
-        targets = section.get("targets")
-        if not isinstance(targets, list) or len(targets) < 2:
-            raise ConfigError("config.tune.targets: need >= 2 emitter indices")
-        for t in targets:
-            if isinstance(t, bool) or not isinstance(t, int):
-                raise ConfigError(f"config.tune.targets: expected integer indices, got {t!r}")
-        if len(set(targets)) != len(targets):
-            raise ConfigError(f"config.tune.targets: indices must be distinct, got {targets}")
-    else:
-        _integer(section, "emitter_index", "config.tune", required=True)
-        _number(section, "target_ueV", "config.tune", required=True)
-    _number(section, "tolerance_ueV", "config.tune", required=True)
-    _integer(section, "max_exposures", "config.tune")
-    if "plant" in section:
-        plant = section["plant"]
-        _check_keys(plant, PLANT_KEYS, "config.tune.plant")
-        for key in plant:
-            _number(plant, key, "config.tune.plant")
-    if "meter" in section:
-        meter = section["meter"]
-        _check_keys(meter, METER_KEYS, "config.tune.meter")
-        for key in sorted(METER_KEYS - {"instrument"}):
-            value = _number(meter, key, "config.tune.meter")
-            if value is not None and not value > 0:
-                raise ConfigError(f"config.tune.meter.{key}: must be > 0, got {value:g}")
+def _given(section, **keys):
+    """Keyword arguments ``{arg: section[key]}`` for the keys ``section`` gives."""
+    return {arg: section[key] for arg, key in keys.items() if key in section}
 
 
 def _build_system(config) -> EmitterSystem:
-    section = config.get("system")
-    if section is None:
-        raise ConfigError("config.system: required for this command")
-    emitters = tuple(
-        Emitter(
-            energy=float(entry["energy"]),
-            gamma=float(entry["gamma"]),
-            gamma_pd=float(entry.get("gamma_pd", 0.0)),
-            sigma=float(entry.get("sigma", 0.0)),
-            intensity=float(entry.get("intensity", 1.0)),
-            position=float(entry.get("position", 0.0)),
-            stark_coeff=float(entry.get("stark_coeff", 0.0)),
-        )
-        for entry in section["emitters"]
-    )
-    return EmitterSystem(emitters, float(section.get("reference_energy", 0.0)))
+    section = _required(config, "system")
+    emitters = tuple(Emitter(**entry) for entry in section["emitters"])
+    return EmitterSystem(**{**section, "emitters": emitters})
 
 
 def _build_grid(config) -> np.ndarray:
-    section = config.get("grid")
-    if section is None:
-        raise ConfigError("config.grid: required for this command")
-    tau_max = float(section["tau_max_ns"])
-    n_points = int(section["n_points"])
-    grid = np.linspace(-tau_max, tau_max, n_points)
+    section = _required(config, "grid")
+    tau_max = section["tau_max_ns"]
+    grid = np.linspace(-tau_max, tau_max, section["n_points"])
     # linspace's +-tau pairs can differ in the last bit; made exactly
     # antisymmetric, each |tau| is one Monte Carlo delay, not two.
     return 0.5 * (grid - grid[::-1])
 
 
-def _build_irf(config) -> Irf | None:
-    fwhm = config.get("irf_fwhm_ns")
-    return Irf(float(fwhm)) if fwhm is not None else None
+def _build_irf(section) -> Irf | None:
+    return Irf(section["irf_fwhm_ns"]) if "irf_fwhm_ns" in section else None
 
 
 def _echo_config(config, outdir: Path) -> None:
@@ -361,7 +340,7 @@ def cmd_model(config, outdir: Path) -> None:
     """Evaluate the analytic model, with and without the IRF."""
     system = _build_system(config)
     grid = _build_grid(config)
-    coherent = _boolean(config.get("model", {}), "coherent", "config.model", True)
+    coherent = config["model"]["coherent"]
     irf = _build_irf(config)
     values = g2_general(system, grid, coherent)
     # Python floats format faster than numpy scalars, to the same text.
@@ -422,12 +401,12 @@ def _oracle_report(curve: G2Curve, analytic: np.ndarray, n_real: int) -> list[st
 def cmd_simulate(config, outdir: Path) -> None:
     """Monte Carlo oracle run and/or synthetic coincidence histograms."""
     system = _build_system(config)
-    seed = RngSeed(int(config.get("seed", 0)))
-    section = config.get("simulate", {})
+    seed = RngSeed(config["seed"])
+    section = config["simulate"]
     irf = _build_irf(config)
-    if _boolean(section, "mc", "config.simulate", True):
+    if section["mc"]:
         grid = _build_grid(config)
-        n_real = int(section.get("n_real", 100_000))
+        n_real = section["n_real"]
         curve = mc_g2(system, grid, n_real, seed)
         write_curve(
             outdir / "mc_curve.tsv",
@@ -440,66 +419,40 @@ def cmd_simulate(config, outdir: Path) -> None:
         coin = section["coincidences"]
         if irf is None:
             raise ConfigError("config.irf_fwhm_ns: required to sample coincidences")
-        window = float(coin.get("window_ns", 10.0))
-        bin_ns = float(coin.get("bin_ns", 0.02))
-        norm = coin.get("normalization_window_ns", [5.0, 10.0])
+        window = coin["window_ns"]
+        bin_ns = coin["bin_ns"]
         step = min(bin_ns / 2.0, irf.fwhm / 8.0)
         model_grid = np.arange(-window - 1.0, window + 1.0 + 0.5 * step, step)
         model = G2Curve(model_grid, g2_general(system, model_grid, True))
+        options = _given(coin, normalization_window="normalization_window_ns")
         histogram = sample_coincidences(
-            model,
-            int(coin["n_events"]),
-            window,
-            irf,
-            seed,
-            bin_width=bin_ns,
-            normalization_window=(float(norm[0]), float(norm[1])),
+            model, coin["n_events"], window, irf, seed, bin_width=bin_ns, **options
         )
         write_histogram(outdir / "histogram.tsv", histogram)
         write_curve(outdir / "normalized.tsv", normalize_histogram(histogram))
 
 
-def cmd_fit(config, outdir: Path, config_dir: Path) -> None:
+def _bounds(free):
+    return {name: (b["guess"], b["min"], b["max"]) for name, b in free.items()}
+
+
+def cmd_fit(config, outdir: Path) -> None:
     """Joint fit of one or more measured/synthetic g2 curves."""
-    section = config.get("fit")
-    if section is None:
-        raise ConfigError("config.fit: required for this command")
-    model = section.get("model", "ideal")
-    coherent = _boolean(section, "coherent", "config.fit", True)
-    irf_fwhm = _number(section, "irf_fwhm_ns", "config.fit")
-    irf = Irf(irf_fwhm) if irf_fwhm is not None else None
-    n_restarts = _integer(section, "n_restarts", "config.fit", default=3)
-    shared_cfg = section.get("shared", {})
-    shared_free = {
-        name: (float(b["guess"]), float(b["min"]), float(b["max"]))
-        for name, b in shared_cfg.items()
-    }
-    base_system = _build_system(config) if model == "general" else None
+    section = _required(config, "fit")
+    options = _given(section, model="model", coherent="coherent", n_restarts="n_restarts")
+    if section["model"] == "general":
+        options["base_system"] = _build_system(config)
+    irf = _build_irf(section)
+    shared = _bounds(section["shared"])
     datasets, specs = [], []
     for m, entry in enumerate(section["curves"]):
         data_path = Path(entry["data"])
-        if not data_path.is_absolute():
-            data_path = config_dir / data_path
         if not data_path.is_file():
             raise ConfigError(f"config.fit.curves[{m}].data: no file {data_path}")
         datasets.append(read_curve(data_path))
-        free = dict(shared_free)
-        for name, b in entry.get("free", {}).items():
-            free[name] = (float(b["guess"]), float(b["min"]), float(b["max"]))
-        specs.append(
-            FitSpec(
-                model=model,
-                coherent=coherent,
-                fixed={k: float(v) for k, v in entry.get("fixed", {}).items()},
-                free=free,
-                irf=irf,
-                base_system=base_system,
-                n_restarts=n_restarts,
-            )
-        )
-    result = fit_g2_joint(
-        datasets, specs, shared=tuple(shared_free), rng=RngSeed(int(config.get("seed", 0)))
-    )
+        free = {**shared, **_bounds(entry["free"])}
+        specs.append(FitSpec(fixed=entry["fixed"], free=free, irf=irf, **options))
+    result = fit_g2_joint(datasets, specs, shared=tuple(shared), rng=RngSeed(config["seed"]))
     (outdir / "fit_report.txt").write_text(format_fit_report(result))
     (outdir / "fit_params.tsv").write_text(fit_params_table(result))
     for k, (data, spec, params) in enumerate(
@@ -531,26 +484,18 @@ def _spectrum_grid(state, meter):
 def cmd_tune(config, outdir: Path) -> None:
     """Run the closed-loop controller end-to-end and journal it."""
     system = _build_system(config)
-    section = config.get("tune")
-    if section is None:
-        raise ConfigError("config.tune: required for this command")
-    plant_cfg = PlantConfig(**{k: float(v) for k, v in section.get("plant", {}).items()})
-    meter_cfg = section.get("meter", {})
-    instrument_kind = meter_cfg.get("instrument", "fabry_perot")
-    default_resolution = 2.4 if instrument_kind == "fabry_perot" else 50.0
-    instrument = Instrument(
-        instrument_kind, float(meter_cfg.get("resolution_fwhm_ueV", default_resolution))
+    section = _required(config, "tune")
+    plant_cfg = PlantConfig(**section["plant"])
+    meter_cfg = section["meter"]
+    # Instrument.fabry_perot and Instrument.grating hold each kind's resolution.
+    instrument = getattr(Instrument, meter_cfg["instrument"])(
+        **_given(meter_cfg, resolution_fwhm="resolution_fwhm_ueV")
     )
     meter = EnergyMeter(
-        instrument=instrument,
-        snr=float(meter_cfg.get("snr", 200.0)),
-        half_window=_number(meter_cfg, "half_window_ueV", "config.tune.meter"),
-        step=_number(meter_cfg, "step_ueV", "config.tune.meter"),
+        instrument, **_given(meter_cfg, snr="snr", half_window="half_window_ueV", step="step_ueV")
     )
-    if section.get("mode", "align") == "single":
-        targets = [int(section["emitter_index"])]
-    else:
-        targets = [int(t) for t in section["targets"]]
+    single = section["mode"] == "single"
+    targets = [section["emitter_index"]] if single else section["targets"]
     for k in targets:
         if not 0 <= k < len(system):
             raise ConfigError(
@@ -565,30 +510,21 @@ def cmd_tune(config, outdir: Path) -> None:
                 f"derive the window from the line"
             ) from err
     state = PlantState(system)
-    seed = RngSeed(int(config.get("seed", 0)))
-    gen = seed.generator()
+    gen = RngSeed(config["seed"]).generator()
     grid = _spectrum_grid(state, meter)
     write_spectrum(
         outdir / "spectrum_before.tsv",
         synth_spectrum(state.current_system(), meter.instrument, grid, meter.snr, gen),
     )
-    tolerance = float(section["tolerance_ueV"])
-    max_exposures = int(section.get("max_exposures", 500))
-    if section.get("mode", "align") == "single":
+    tolerance = section["tolerance_ueV"]
+    budget = section["max_exposures"]
+    if single:
+        target = section["target_ueV"]
         log = tune_to_target(
-            state,
-            plant_cfg,
-            targets[0],
-            float(section["target_ueV"]),
-            tolerance,
-            max_exposures,
-            rng=gen,
-            meter=meter,
+            state, plant_cfg, targets[0], target, tolerance, budget, rng=gen, meter=meter
         )
     else:
-        log = align_resonance(
-            state, plant_cfg, targets, tolerance, max_exposures, rng=gen, meter=meter
-        )
+        log = align_resonance(state, plant_cfg, targets, tolerance, budget, rng=gen, meter=meter)
     write_journal(outdir / "journal.txt", log)
     grid = _spectrum_grid(state, meter)
     write_spectrum(
@@ -629,36 +565,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        raw = load_config(args.config)
+        if args.seed is not None and isinstance(raw, dict):
+            raw["seed"] = args.seed
+        config = parse_config(raw)
         kind = config.get("kind")
         if kind is not None and kind != args.command:
             raise ConfigError(
                 f"config.kind ({kind!r}) does not match subcommand {args.command!r}"
             )
-        config["kind"] = args.command
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if _integer(config, "seed", "config", default=0) < 0:
-            raise ConfigError(f"config.seed: expected an integer >= 0, got {config['seed']!r}")
-        config.setdefault("seed", 0)
+        # The echo is the config as written plus what this run settled: its
+        # subcommand, its seed and, for ``fit``, data paths resolved so that
+        # the echo reproduces the run from any directory.
+        raw["kind"] = args.command
+        raw["seed"] = config["seed"]
+        if args.command == "fit" and "fit" in config:
+            config_dir = Path(args.config).resolve().parent
+            for entry, curve in zip(raw["fit"]["curves"], config["fit"]["curves"]):
+                if not Path(curve["data"]).is_absolute():
+                    curve["data"] = entry["data"] = str((config_dir / curve["data"]).resolve())
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        config_dir = Path(args.config).resolve().parent
         if args.command == "model":
             cmd_model(config, outdir)
         elif args.command == "simulate":
             cmd_simulate(config, outdir)
         elif args.command == "fit":
-            # Resolve data paths so the echoed config reproduces the run
-            # from any directory.
-            for entry in config.get("fit", {}).get("curves", []):
-                path = Path(entry["data"])
-                if not path.is_absolute():
-                    entry["data"] = str((config_dir / path).resolve())
-            cmd_fit(config, outdir, config_dir)
+            cmd_fit(config, outdir)
         else:
             cmd_tune(config, outdir)
-        _echo_config(config, outdir)
+        _echo_config(raw, outdir)
         return 0
     except DotkitError as err:
         print(f"error:{err.category}: {err}", file=sys.stderr)

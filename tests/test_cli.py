@@ -1,5 +1,6 @@
 """Config-driven front end: validation, outputs, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import dotkit as dk
-from dotkit.cli import _build_grid, _oracle_report, main
+from dotkit.cli import _build_grid, _oracle_report, main, parse_config
 
 E0 = 1_300_000.0
 
@@ -135,6 +138,17 @@ class TestConfigValues:
             ("simulate", ("simulate", "coincidences", "bin_ns"), "fine"),
             ("simulate", ("simulate", "coincidences", "bin_ns"), 0.0),
             ("simulate", ("simulate", "coincidences", "normalization_window_ns"), ["a", 10]),
+            (
+                "simulate",
+                ("simulate", "coincidences", "normalization_window_ns"),
+                [float("nan"), 10],
+            ),
+            (
+                "simulate",
+                ("simulate", "coincidences", "normalization_window_ns"),
+                [5, float("inf")],
+            ),
+            pytest.param("model", ("system", "emitters", 0, "energy"), 10**400, id="huge-int"),
         ],
     )
     def test_rejected_as_config_error(self, tmp_path, capsys, command, keys, value):
@@ -174,6 +188,21 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error:config: config.seed:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config_seed, flag",
+        [(2**53 + 1, []), (0, ["--seed", str(2**64 - 1)])],
+        ids=["config-above-2**53", "flag-u64-max"],
+    )
+    def test_u64_seed_accepted(self, tmp_path, config_seed, flag):
+        # Every u64 seed is taken exactly, also those that no float holds.
+        config = simulate_config()
+        config["seed"] = config_seed
+        path = write_yaml(tmp_path / "config.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, *flag, "--out", str(out)) == 0
+        echoed = yaml.safe_load((out / "config.yaml").read_text())
+        assert echoed["seed"] == (int(flag[1]) if flag else config_seed)
 
     def test_unreadable_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")
@@ -619,6 +648,18 @@ class TestCmdTune:
         assert len(dk.read_journal(out / "journal.txt")) == 0
 
 
+def single_tune_config():
+    config = TestCmdTune().tune_config()
+    config["tune"] = {
+        "mode": "single",
+        "emitter_index": 0,
+        "target_ueV": E0 + 100.0,
+        "tolerance_ueV": 2.0,
+        "max_exposures": 50,
+    }
+    return config
+
+
 class TestCmdTuneValidation:
     tune_config = TestCmdTune.tune_config
 
@@ -654,6 +695,7 @@ class TestCmdTuneValidation:
             ("meter", {"step_ueV": 0.0}),
             ("meter", {"resolution_fwhm_ueV": -2.4}),
             ("plant", {"step_noise": "loud"}),
+            ("meter", {"instrument": "prism"}),
         ],
     )
     def test_non_numeric_tune_values(self, tmp_path, capsys, section, values):
@@ -687,3 +729,93 @@ class TestCmdTuneValidation:
         assert all(record.rescans == 0 for record in log)
         assert len(spans) >= sum(len(record.spectra) for record in log)
         np.testing.assert_allclose(spans, 360.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "mode, keys",
+        [
+            ("align", {"target_ueV": "abc", "emitter_index": "x"}),
+            ("single", {"targets": "junk"}),
+        ],
+    )
+    def test_other_mode_keys_rejected(self, tmp_path, capsys, mode, keys):
+        # Each mode names its targets with its own keys; the other mode's are unknown.
+        config = single_tune_config() if mode == "single" else self.tune_config()
+        config["tune"].update(keys)
+        self.run_expecting_config_error(tmp_path, capsys, config)
+
+    def test_negative_budget_rejected_before_any_output(self, tmp_path, capsys):
+        config = self.tune_config()
+        config["tune"]["max_exposures"] = -3
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("tune", "--config", path, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+        assert list(out.glob("*")) == []
+        # 0 stays valid: an already-resonant pair converges with no pulse.
+        config["system"]["emitters"][1]["energy"] = E0 + 0.3
+        config["tune"]["max_exposures"] = 0
+        path = write_yaml(tmp_path / "tune.yaml", config)
+        assert run_cli("tune", "--config", path, "--seed", "3", "--out", str(out)) == 0
+
+
+VALID_CONFIGS = {
+    "model": model_config(),
+    "simulate": TestCmdSimulate().simulate_config(),
+    "fit": fit_config(),
+    "tune-align": TestCmdTune().tune_config(),
+    "tune-single": single_tune_config(),
+}
+VALID_CONFIGS["tune-align"]["tune"]["meter"] = {"instrument": "grating", "snr": 150.0}
+VALID_CONFIGS["tune-align"]["tune"]["plant"] = {"step_noise": 0.5}
+VALID_CONFIGS["fit"]["fit"]["shared"] = {"sigma": {"guess": 1.0, "min": 0.01, "max": 5.0}}
+
+
+def value_paths(node, path=()):
+    """Key/index path of every value below ``node``, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, path + (key,))
+
+
+FUZZ_CASES = [
+    (name, path) for name, config in VALID_CONFIGS.items() for path in value_paths(config)
+]
+FUZZ_VALUES = [None, "x", True, float("nan"), float("inf"), -1, 0, 1.5, [], {}, [float("nan")]]
+
+
+class TestParseConfig:
+    """``parse_config`` on its own: no file is read and no work is done."""
+
+    @pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+    def test_valid_configs_parse(self, name):
+        parse_config(copy.deepcopy(VALID_CONFIGS[name]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
+    def test_one_bad_value_returns_or_raises_dotkit_error(self, case, value):
+        name, path = case
+        config = copy.deepcopy(VALID_CONFIGS[name])
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = copy.deepcopy(value)
+        try:
+            parse_config(config)
+        except dk.DotkitError:
+            pass
+
+    def test_null_tune_mode_means_align(self):
+        config = copy.deepcopy(VALID_CONFIGS["tune-align"])
+        config["tune"]["mode"] = None
+        assert parse_config(config)["tune"]["mode"] == "align"
+
+    def test_readme_config_block_parses(self):
+        # The README's annotated config is the schema's documentation: it
+        # must parse, so that the two cannot drift apart.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Configuration format (version 1)", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = parse_config(yaml.safe_load(block))
+        assert set(config) >= {"system", "grid", "model", "simulate", "fit", "tune"}
