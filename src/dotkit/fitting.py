@@ -1,15 +1,16 @@
 """Parameter estimation: g2 curve fits and spectral peak location.
 
-Both run on one estimator, bounded trust-region reflective least squares
-(``_fit_least_squares``), with standard errors from the Jacobian at the
-optimum. g2 fits, single or joint, minimize the error-weighted sum of
-squares between data and the forward model (convolved with the timing
-response) from the guess plus randomized restarts. Their Jacobian is
-scipy's forward difference taken curve by curve: a column re-evaluates
-only the curves its parameter moves, and a ``scale`` column none. Spectral
-peaks are fit as pseudo-Voigt profiles over a constant background from
-one start with an analytic Jacobian; having no per-point errors, their
-covariance is scaled by the residual variance.
+Both run on one estimator, a bounded Levenberg-Marquardt least squares
+written here (``_fit_least_squares``), with standard errors from the
+Jacobian at the optimum. g2 fits, single or joint, minimize the
+error-weighted sum of squares between data and the forward model
+(convolved with the timing response) from the guess plus randomized
+restarts. Their Jacobian is scipy's 2-point forward difference, computed
+here curve by curve: a column re-evaluates only the curves its parameter
+moves, and a ``scale`` column none. Spectral peaks are fit as pseudo-Voigt
+profiles over a constant background from one start with an analytic
+Jacobian; having no per-point errors, their covariance is scaled by the
+residual variance. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy  # submodules load on first use, so a subcommand pays only for what it calls
 
 from .emitters import (
     EmitterSystem,
@@ -41,7 +41,7 @@ G2_PARAM_NAMES = ("gamma", "gamma_pd", "sigma", "delta_ueV", "scale")
 
 
 class OverlappingPeaksWarning(UserWarning):
-    """Fitted peaks are closer than the instrument can resolve."""
+    """Fitted peaks blend into fewer lines than were asked for."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class FitResult:
 
     ``residual_norm`` is the chi-square at the optimum, ``n_iterations``
     the number of Jacobian evaluations of the winning start, and
-    ``history`` its chi-square after every iteration.
+    ``history`` its chi-square after every step it took, which never rises.
     """
 
     estimates: dict[str, ParamEstimate]
@@ -172,40 +172,106 @@ def _check_fit_data(data: G2Curve, n_free: int) -> None:
         )
 
 
+# Stopping rules of scipy's least_squares: relative chi-square decrease,
+# relative step length and gradient, and model evaluations per parameter.
+_FTOL = _XTOL = _GTOL = 1e-8
+_MAX_NFEV_PER_PARAM = 100
+# Damping of the first step, relative to the scaled Gauss-Newton matrix.
+_DAMPING_START = 1e-3
+
+
+def _levenberg_marquardt(residuals, jac, x, lower, upper):
+    """One bounded Levenberg-Marquardt run from ``x``.
+
+    Each step solves (J^T J + damping D^2) p = -J^T f over the free
+    parameters, with D the largest column norms of J met so far (Moré,
+    LNM 630, 1978), so parameters of any unit are damped alike. A
+    parameter on a bound whose gradient points out of the box is held for
+    the step, and the step is clipped into the box. A step that lowers the
+    chi-square is taken and the damping scaled by its gain ratio as Nielsen
+    (IMM-REP-1999-05) does, though falling up to 10x a step as in
+    Marquardt's rule; a step that does not is retried with more damping.
+    It stops as scipy's least_squares does: a taken step that lowers the
+    chi-square by under ``_FTOL`` of it, a step under ``_XTOL`` of |x|, a
+    free gradient under ``_GTOL`` in cosine (Moré's form), or the
+    evaluation budget spent.
+
+    Returns x, the Jacobian there, the chi-square, the Jacobian count, the
+    chi-square after each taken step, and whether a stopping rule was met.
+    """
+    f = residuals(x)
+    chi2 = float(f @ f)
+    jacobian = jac(x)
+    n_fev, n_jev, max_fev = 1, 1, _MAX_NFEV_PER_PARAM * x.size
+    history: list[float] = []
+    scale = None
+    damping, growth = _DAMPING_START, 2.0
+    converged = False
+    while True:
+        gradient = jacobian.T @ f
+        normal = jacobian.T @ jacobian
+        norms = np.sqrt(np.diag(normal))
+        scale = np.where(norms > 0, norms, 1.0) if scale is None else np.maximum(scale, norms)
+        held = ((x <= lower) & (gradient > 0)) | ((x >= upper) & (gradient < 0))
+        free = np.flatnonzero(~held)
+        cosines = np.abs(gradient[free]) / np.where(norms[free] > 0, norms[free], np.inf)
+        if cosines.max(initial=0.0) <= _GTOL * math.sqrt(chi2):
+            converged = True
+            break
+        inner = normal[np.ix_(free, free)]
+        taken = False
+        while n_fev < max_fev and not (taken or converged):
+            step = np.zeros_like(x)
+            step[free] = np.linalg.solve(
+                inner + damping * np.diag(scale[free] ** 2), -gradient[free]
+            )
+            trial = np.clip(x + step, lower, upper)
+            step = trial - x
+            f_trial = residuals(trial)
+            n_fev += 1
+            chi2_trial = float(f_trial @ f_trial)
+            decrease = chi2 - chi2_trial
+            predicted = -(2.0 * gradient @ step + step @ normal @ step)
+            ratio = decrease / predicted if predicted > 0 else 0.0
+            converged = bool(
+                (decrease < _FTOL * chi2 and ratio > 0.25)
+                or np.linalg.norm(step) < _XTOL * (_XTOL + np.linalg.norm(x))
+            )
+            if decrease > 0:
+                x, f, chi2 = trial, f_trial, chi2_trial
+                jacobian = jac(x)
+                n_jev += 1
+                history.append(chi2)
+                damping *= max(0.1, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+                taken = True
+            else:
+                damping *= growth
+                growth *= 2.0
+        if converged or not taken:  # not taken: the evaluation budget is spent
+            break
+    return x, jacobian, chi2, n_jev, history, converged
+
+
 def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
     """Minimize the error-weighted residuals from the guess plus random starts.
 
-    Each start runs scipy's bounded trust-region reflective least squares,
-    with ``jac`` returning the residuals' Jacobian; the start with the
-    lowest chi-square wins. Its final Jacobian J gives the covariance (J^T J)^-1, the
-    Gauss-Newton inverse of half the chi-square Hessian. ``gen`` draws the
-    random starts and may be None when ``n_restarts`` is 1.
+    Each start runs :func:`_levenberg_marquardt`, with ``jac`` returning the
+    residuals' Jacobian; the start with the lowest chi-square wins. Its final
+    Jacobian J gives the covariance (J^T J)^-1, the Gauss-Newton inverse of
+    half the chi-square Hessian. ``gen`` draws the random starts and may be
+    None when ``n_restarts`` is 1.
     """
     names = list(free)
-    guesses = np.array([free[name][0] for name in names])
-    lower = np.array([free[name][1] for name in names])
-    upper = np.array([free[name][2] for name in names])
+    guesses = np.array([free[name][0] for name in names], dtype=float)
+    lower = np.array([free[name][1] for name in names], dtype=float)
+    upper = np.array([free[name][2] for name in names], dtype=float)
     starts = [guesses]
     for _ in range(n_restarts - 1):
         starts.append(lower + gen.uniform(size=len(names)) * (upper - lower))
-    best = None
-    best_history: list[float] = []
-    for start in starts:
-        history: list[float] = []
-        result = scipy.optimize.least_squares(
-            residuals,
-            start,
-            jac=jac,
-            bounds=(lower, upper),
-            method="trf",
-            x_scale="jac",
-            callback=lambda intermediate_result: history.append(2.0 * intermediate_result.cost),
-        )
-        if best is None or result.cost < best.cost:
-            best = result
-            best_history = history
-    x = best.x
-    stderr = np.sqrt(np.maximum(np.diag(np.linalg.pinv(best.jac.T @ best.jac)), 0.0))
+    runs = [_levenberg_marquardt(residuals, jac, start, lower, upper) for start in starts]
+    x, jacobian, chi2, n_jev, history, converged = min(runs, key=lambda run: run[2])
+    stderr = np.sqrt(np.maximum(np.diag(np.linalg.pinv(jacobian.T @ jacobian)), 0.0))
     edge = 1e-9 + 1e-6 * (upper - lower)
     estimates = {
         name: ParamEstimate(
@@ -217,10 +283,10 @@ def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
     }
     return FitResult(
         estimates=estimates,
-        residual_norm=2.0 * float(best.cost),
-        n_iterations=int(best.njev),
-        converged=bool(best.success),
-        history=tuple(best_history),
+        residual_norm=chi2,
+        n_iterations=n_jev,
+        converged=converged,
+        history=tuple(history),
     )
 
 
@@ -552,8 +618,8 @@ def fit_spectrum_peaks(
 
     Returns peaks sorted by center, with ``center_err`` from the fit's
     covariance scaled by the residual variance (the spectrum carries no
-    per-point errors). Warns with :class:`OverlappingPeaksWarning` when two
-    centers fall within one instrument resolution of each other.
+    per-point errors). Warns with :class:`OverlappingPeaksWarning` when the
+    fitted lines blend (see :func:`_warn_unresolved`).
     """
     if n_peaks < 1:
         raise ParameterError(f"need n_peaks >= 1, got {n_peaks}")
@@ -567,7 +633,7 @@ def fit_spectrum_peaks(
     origin = 0.5 * (spectrum.energies[0] + spectrum.energies[-1])
     x, y = spectrum.energies - origin, spectrum.intensities
     free = _peak_start(x, y, n_peaks, instrument_fwhm)
-    # scipy asks for the Jacobian at the point whose residuals it just
+    # The solver asks for the Jacobian at the point whose residuals it just
     # computed; keep the last evaluation so each point costs one model call.
     last = {}
 
@@ -599,22 +665,34 @@ def fit_spectrum_peaks(
         for p in range(n_peaks)
     ]
     peaks.sort(key=lambda pk: pk.center)
+    _warn_unresolved(peaks, instrument_fwhm)
+    return peaks
+
+
+def _warn_unresolved(peaks: Sequence[PeakFit], instrument_fwhm: float) -> None:
+    """Warn when fitted peaks (sorted by center) do not make distinct lines.
+
+    Two neighbours blend when their centers lie closer than the instrument
+    resolution, or closer than their mean FWHM, where their half-maximum
+    intervals overlap. A component below 1% of the tallest fit to zero.
+    """
     tallest = max(pk.amplitude for pk in peaks)
     for a, b in zip(peaks, peaks[1:]):
-        if b.center - a.center < instrument_fwhm:
+        limit = max(instrument_fwhm, 0.5 * (a.fwhm + b.fwhm))
+        if b.center - a.center < limit:
             warnings.warn(
                 f"peaks at {a.center:.2f} and {b.center:.2f} ueV are closer than "
-                f"the instrument resolution ({instrument_fwhm:g} ueV)",
+                f"{limit:.3g} ueV, the larger of the instrument resolution "
+                f"({instrument_fwhm:g} ueV) and their mean fitted FWHM",
                 OverlappingPeaksWarning,
             )
     for pk in peaks:
         if tallest > 0 and pk.amplitude < 0.01 * tallest:
             warnings.warn(
                 f"the component at {pk.center:.2f} ueV fit to zero amplitude; "
-                f"the spectrum does not resolve {n_peaks} distinct lines",
+                f"the spectrum does not resolve {len(peaks)} distinct lines",
                 OverlappingPeaksWarning,
             )
-    return peaks
 
 
 def format_fit_report(result: FitResult, title: str = "g2 fit") -> str:

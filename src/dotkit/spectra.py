@@ -158,7 +158,8 @@ def write_spectrum(path, spectrum: Spectrum, header=()) -> None:
     lines.append(f"# instrument = {spectrum.instrument.kind}")
     lines.append(f"# resolution_fwhm_ueV = {spectrum.instrument.resolution_fwhm:.10g}")
     lines.append("# energy_ueV\tintensity")
-    for e, y in zip(spectrum.energies, spectrum.intensities):
+    # Python floats format faster than numpy scalars, to the same text.
+    for e, y in zip(spectrum.energies.tolist(), spectrum.intensities.tolist()):
         lines.append(f"{e:.10g}\t{y:.10g}")
     Path(path).write_text("\n".join(lines) + "\n")
 

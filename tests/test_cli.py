@@ -305,19 +305,17 @@ class TestImportMap:
         path = write_yaml(tmp_path / "config.yaml", config)
         assert self.loaded(command, "--config", path, "--out", str(tmp_path / "out")) == set()
 
-    def test_fit_loads_optimizer_not_signal(self, tmp_path):
+    def test_fit_loads_none(self, tmp_path):
         write_fit_curve(tmp_path / "curve.tsv")
         path = write_yaml(tmp_path / "config.yaml", fit_config())
-        loaded = self.loaded("fit", "--config", path, "--out", str(tmp_path / "out"))
-        assert "scipy.optimize" in loaded
-        assert not loaded & {"scipy.signal", "scipy.stats"}
+        assert self.loaded("fit", "--config", path, "--out", str(tmp_path / "out")) == set()
 
-    def test_tune_loads_optimizer_not_signal(self, tmp_path):
+    def test_tune_loads_only_special(self, tmp_path):
+        # synth_spectrum's voigt_profile; the peak fits need no scipy.
         path = write_yaml(tmp_path / "tune.yaml", TestCmdTune().tune_config())
         out = str(tmp_path / "out")
         loaded = self.loaded("tune", "--config", path, "--seed", "9", "--out", out)
-        assert "scipy.optimize" in loaded
-        assert not loaded & {"scipy.signal", "scipy.stats"}
+        assert loaded == {"scipy.special"}
 
 class TestBuildGrid:
     @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])
