@@ -16,7 +16,6 @@ from .emitters import (
     EmitterSystem,
     G2Curve,
     Irf,
-    PairCoupling,
     convolve_irf,
     fwhm_from_dephasing,
     fwhm_from_sigma,
@@ -24,7 +23,6 @@ from .emitters import (
     g2_general,
     g2_ideal,
     identical_system,
-    pair_coupling,
     read_curve,
     write_curve,
 )
@@ -57,7 +55,6 @@ from .fitting import (
 from .montecarlo import (
     G2Histogram,
     RngSeed,
-    mc_coherence_pair,
     mc_g2,
     normalize_histogram,
     read_histogram,

@@ -77,29 +77,6 @@ class Emitter:
 
 
 @dataclass(frozen=True)
-class PairCoupling:
-    """Derived pair quantities entering the coherent interference term.
-
-    ``gamma_sum`` is (gamma_i + gamma_j)/2 + gamma_pd_i + gamma_pd_j in 1/ns,
-    ``sigma_pair`` satisfies sigma_pair**2 = sigma_i**2 + sigma_j**2, and
-    ``detuning`` is (E_i - E_j)/hbar in rad/ns.
-    """
-
-    gamma_sum: float
-    sigma_pair: float
-    detuning: float
-
-
-def pair_coupling(e_i: Emitter, e_j: Emitter) -> PairCoupling:
-    """Combine two emitters into the pair quantities of the coherent term."""
-    return PairCoupling(
-        gamma_sum=0.5 * (e_i.gamma + e_j.gamma) + e_i.gamma_pd + e_j.gamma_pd,
-        sigma_pair=math.hypot(e_i.sigma, e_j.sigma),
-        detuning=(e_i.energy - e_j.energy) / HBAR_UEV_NS,
-    )
-
-
-@dataclass(frozen=True)
 class EmitterSystem:
     """Ordered collection of emitters sharing one waveguide mode."""
 
@@ -393,16 +370,25 @@ def write_curve(path, curve: G2Curve, header: Sequence[str] = ()) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_curve(path) -> G2Curve:
-    """Read a curve written by :func:`write_curve`."""
+def _read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
+    """The ``# key = value`` header lines and the numeric rows, at least two
+    columns wide, of a ``kind`` file; a malformed file is a ParameterError."""
     try:
+        lines = Path(path).read_text().splitlines()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file
-            data = np.loadtxt(path, comments="#", ndmin=2)
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            data = np.loadtxt(lines, comments="#", ndmin=2)
     except ValueError as err:
         # numpy's advice after the ';' names its own keyword arguments.
-        raise ParameterError(f"curve file {path}: {str(err).split(';')[0]}") from err
+        raise ParameterError(f"{kind} file {path}: {str(err).split(';')[0]}") from err
     if data.shape[1] < 2:
-        raise ParameterError(f"curve file {path} must have >= 2 columns")
+        raise ParameterError(f"{kind} file {path} must have >= 2 columns")
+    header = (line.strip()[1:].partition("=") for line in lines if line.lstrip().startswith("#"))
+    return {key.strip(): value.strip() for key, eq, value in header if eq}, data
+
+
+def read_curve(path) -> G2Curve:
+    """Read a curve written by :func:`write_curve`."""
+    data = _read_table(path, "curve")[1]
     errors = data[:, 2] if data.shape[1] >= 3 else None
     return G2Curve(data[:, 0], data[:, 1], errors)

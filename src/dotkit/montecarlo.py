@@ -41,6 +41,7 @@ from .emitters import (
     EmitterSystem,
     G2Curve,
     Irf,
+    _read_table,
 )
 from .errors import (
     EmptyPlateauError,
@@ -189,7 +190,7 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: bool = False):
+def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: bool):
     """Mean and standard error per delay of n_real per-realization samples.
 
     ``fill(gen, workspace, size)`` writes one block's samples to
@@ -230,47 +231,6 @@ def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: boo
     mean = total / n_real
     var = np.maximum(total_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
     return mean, np.sqrt(var / n_real)
-
-
-def mc_coherence_pair(
-    e_i: Emitter,
-    e_j: Emitter,
-    tau,
-    n_real: int,
-    rng: RngSeed,
-):
-    """Monte Carlo estimate of the pair-coherence factor
-    exp(-Gamma_ij tau - 2 pi^2 sigma_ij^2 tau^2) cos(d_ij tau).
-
-    Each realization contributes Re[g1_i conj(g1_j)], taken as one cosine
-    of the phase difference times both decays. Each distinct |tau| is
-    sampled once. Returns (mean, standard_error); arrays when ``tau`` is an
-    array.
-    """
-    if n_real < 100:
-        raise ParameterError(f"need n_real >= 100, got {n_real}")
-    t = np.atleast_1d(np.abs(np.asarray(tau, dtype=float)))
-    u, inverse = np.unique(t, return_inverse=True)
-    mid = 0.5 * (e_i.energy + e_j.energy)
-    om_i = (e_i.energy - mid) / HBAR_UEV_NS
-    om_j = (e_j.energy - mid) / HBAR_UEV_NS
-    decay = np.exp(-0.5 * e_i.gamma * u) * np.exp(-0.5 * e_j.gamma * u)
-
-    def fill(gen, ws, size):
-        product = ws.samples[:size]
-        for _ in _phase_chunks(e_i, om_i, u, size, gen, product, ws.term):
-            pass
-        for rows, phase_j in _phase_chunks(e_j, om_j, u, size, gen, ws.phase, ws.term):
-            chunk = product[rows]
-            chunk -= phase_j
-            np.cos(chunk, out=chunk)
-            chunk *= decay
-
-    mean, stderr = _sample_mean(rng, n_real, u.size, fill)
-    mean, stderr = mean[inverse], stderr[inverse]
-    if np.ndim(tau) == 0:
-        return float(mean[0]), float(stderr[0])
-    return mean, stderr
 
 
 def mc_g2(
@@ -465,36 +425,26 @@ def write_histogram(path, histogram: G2Histogram) -> None:
 
 def read_histogram(path) -> G2Histogram:
     """Read a histogram written by :func:`write_histogram`."""
-    meta: dict[str, str] = {}
-    centers: list[float] = []
-    counts: list[int] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        fields = line.split()
-        centers.append(float(fields[0]))
-        counts.append(int(fields[1]))
+    meta, data = _read_table(path, "histogram")
+    centers, counts = data[:, 0], data[:, 1]
     if len(centers) < 2:
         raise ParameterError(f"histogram file {path} needs >= 2 bins")
-    center_arr = np.asarray(centers)
-    width = center_arr[1] - center_arr[0]
-    edges = np.concatenate([center_arr - 0.5 * width, [center_arr[-1] + 0.5 * width]])
-    window = tuple(float(v) for v in meta.get("normalization_window_ns", "5 10").split())
-    seed = None
-    if "seed" in meta:
-        seed = RngSeed(int(meta["seed"]), int(meta.get("stream_id", 0)))
-    return G2Histogram(
-        bin_edges=edges,
-        counts=np.asarray(counts),
-        normalization_window=window,  # type: ignore[arg-type]
-        seed=seed,
-        n_events=int(meta["n_events"]) if "n_events" in meta else None,
-        irf_fwhm=float(meta["irf_fwhm_ns"]) if "irf_fwhm_ns" in meta else None,
-    )
+    if not np.all(np.isfinite(counts) & (np.round(counts) == counts)):
+        raise ParameterError(f"histogram file {path}: counts must be whole numbers")
+    width = centers[1] - centers[0]
+    edges = np.concatenate([centers - 0.5 * width, [centers[-1] + 0.5 * width]])
+    try:  # the header values, and the histogram they describe
+        window = tuple(float(v) for v in meta.get("normalization_window_ns", "5 10").split())
+        seed = None
+        if "seed" in meta:
+            seed = RngSeed(int(meta["seed"]), int(meta.get("stream_id", 0)))
+        return G2Histogram(
+            bin_edges=edges,
+            counts=counts.astype(np.int64),
+            normalization_window=window,  # type: ignore[arg-type]
+            seed=seed,
+            n_events=int(meta["n_events"]) if "n_events" in meta else None,
+            irf_fwhm=float(meta["irf_fwhm_ns"]) if "irf_fwhm_ns" in meta else None,
+        )
+    except ValueError as err:
+        raise ParameterError(f"histogram file {path}: {err}") from err

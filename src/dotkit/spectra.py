@@ -18,6 +18,7 @@ from .emitters import (
     HBAR_UEV_NS,
     Emitter,
     EmitterSystem,
+    _read_table,
     fwhm_from_sigma,
 )
 from .errors import GridCoverageError, ParameterError
@@ -166,22 +167,12 @@ def write_spectrum(path, spectrum: Spectrum, header=()) -> None:
 
 def read_spectrum(path) -> Spectrum:
     """Read a spectrum written by :func:`write_spectrum`."""
-    meta = {}
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        rows.append([float(x) for x in line.split()])
-    data = np.asarray(rows, dtype=float)
-    instrument = Instrument(
-        meta.get("instrument", "grating"),
-        float(meta.get("resolution_fwhm_ueV", 50.0)),
-    )
-    return Spectrum(data[:, 0], data[:, 1], instrument)
+    meta, data = _read_table(path, "spectrum")
+    try:  # the header values, and the spectrum they describe
+        instrument = Instrument(
+            meta.get("instrument", "grating"),
+            float(meta.get("resolution_fwhm_ueV", 50.0)),
+        )
+        return Spectrum(data[:, 0], data[:, 1], instrument)
+    except ValueError as err:
+        raise ParameterError(f"spectrum file {path}: {err}") from err

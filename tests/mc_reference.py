@@ -13,9 +13,8 @@ contract it spells out:
   realization and distinct |tau|, in row-major order;
 - the distinct delays are ``np.unique(|tau|)``.
 
-``sequential_g2`` and ``sequential_coherence_pair`` at the end are the
-oracle's own sequential block loop, frozen, for bit-for-bit checks of its
-threaded form.
+``sequential_g2`` at the end is the oracle's own sequential block loop,
+frozen, for bit-for-bit checks of its threaded form.
 """
 
 import math
@@ -44,22 +43,6 @@ def _mean_and_stderr(total, total_sq, n_real):
     mean = total / n_real
     var = np.maximum(total_sq / n_real - mean**2, 0.0) * n_real / (n_real - 1)
     return mean, np.sqrt(var / n_real)
-
-
-def coherence_pair(e_i, e_j, tau, n_real, seed, stream_id=0):
-    """(mean, stderr) of Re[g1_i conj(g1_j)] at each delay of ``tau``."""
-    t = np.abs(np.atleast_1d(np.asarray(tau, dtype=float)))
-    u, inverse = np.unique(t, return_inverse=True)
-    mid = 0.5 * (e_i.energy + e_j.energy)
-    total, total_sq = np.zeros(u.size), np.zeros(u.size)
-    for size, gen in _blocks(n_real, seed, stream_id):
-        g1_i = _g1(e_i, (e_i.energy - mid) / HBAR_UEV_NS, u, size, gen)
-        g1_j = _g1(e_j, (e_j.energy - mid) / HBAR_UEV_NS, u, size, gen)
-        product = (g1_i * np.conj(g1_j)).real
-        total += product.sum(axis=0)
-        total_sq += (product**2).sum(axis=0)
-    mean, stderr = _mean_and_stderr(total, total_sq, n_real)
-    return mean[inverse], stderr[inverse]
 
 
 def g2(emitters, tau, n_real, seed, stream_id=0):
@@ -103,27 +86,6 @@ def _sequential_phases(e, omega, u, n, gen):
     np.cumsum(phase, axis=1, out=phase)
     phase += (omega + offsets) * u
     return phase
-
-
-def sequential_coherence_pair(e_i, e_j, tau, n_real, seed, stream_id=0):
-    """(mean, stderr) as the sequential real-phase loop computed them."""
-    t = np.atleast_1d(np.abs(np.asarray(tau, dtype=float)))
-    u, inverse = np.unique(t, return_inverse=True)
-    mid = 0.5 * (e_i.energy + e_j.energy)
-    om_i = (e_i.energy - mid) / HBAR_UEV_NS
-    om_j = (e_j.energy - mid) / HBAR_UEV_NS
-    decay = np.exp(-0.5 * e_i.gamma * u) * np.exp(-0.5 * e_j.gamma * u)
-    total, total_sq = np.zeros(u.size), np.zeros(u.size)
-    for size, gen in _blocks(n_real, seed, stream_id):
-        product = _sequential_phases(e_i, om_i, u, size, gen)
-        product -= _sequential_phases(e_j, om_j, u, size, gen)
-        np.cos(product, out=product)
-        product *= decay
-        total += product.sum(axis=0)
-        product *= product
-        total_sq += product.sum(axis=0)
-    mean, stderr = _mean_and_stderr(total, total_sq, n_real)
-    return mean[inverse], stderr[inverse]
 
 
 def sequential_g2(emitters, tau, n_real, seed, stream_id=0):

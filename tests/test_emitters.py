@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import dotkit as dk
 from dotkit import HBAR_UEV_NS
 
-from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
+from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA, pair_factor
 
 
 class TestEmitterTypes:
@@ -43,35 +43,53 @@ class TestEmitterTypes:
 
 
 class TestPairCoupling:
+    """The closed-form pair factor that the Monte Carlo pair checks aim at."""
+
+    TAU = np.linspace(-0.5, 0.5, 21)
+
     def test_reference_rates(self):
         # Gamma_ij = (0.7 + 0.7)/2 + (2.5 + 2.5) = 5.7 1/ns
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA, gamma_pd=REF_GAMMA_PD)
-        assert dk.pair_coupling(e, e).gamma_sum == pytest.approx(5.7)
+        assert pair_factor(e, e, self.TAU) == pytest.approx(np.exp(-5.7 * np.abs(self.TAU)))
 
     def test_resonant_pair_has_zero_detuning(self):
         e = dk.Emitter(energy=123.0, gamma=1.0)
-        assert dk.pair_coupling(e, e).detuning == 0.0
+        assert np.array_equal(pair_factor(e, e, self.TAU), np.exp(-np.abs(self.TAU)))
 
     def test_detuning_from_energy_difference(self):
         # Oracle: delta = E/hbar; 46 ueV -> 69.886 rad/ns, period ~90 ps,
         # faster than the 100 ps timing resolution.
         e_hi = dk.Emitter(energy=46.0, gamma=1.0)
         e_lo = dk.Emitter(energy=0.0, gamma=1.0)
-        detuning = dk.pair_coupling(e_hi, e_lo).detuning
-        assert detuning == pytest.approx(46.0 / HBAR_UEV_NS)
-        assert detuning == pytest.approx(69.886, rel=1e-4)
-        assert 2 * math.pi / detuning < 0.1
+        delta = 46.0 / HBAR_UEV_NS
+        assert delta == pytest.approx(69.886, rel=1e-4)
+        period = 2 * math.pi / delta
+        assert pair_factor(e_hi, e_lo, period) == pytest.approx(math.exp(-period))
+        assert pair_factor(e_hi, e_lo, period / 2) == pytest.approx(-math.exp(-period / 2))
+        assert period < 0.1
 
     def test_antisymmetry(self):
+        # delta_ij = -delta_ji, so swapping the emitters leaves the factor as is.
         e_hi = dk.Emitter(energy=10.0, gamma=1.0)
         e_lo = dk.Emitter(energy=-5.0, gamma=2.0)
-        assert dk.pair_coupling(e_hi, e_lo).detuning == -dk.pair_coupling(e_lo, e_hi).detuning
+        t = self.TAU
+        assert np.array_equal(pair_factor(e_hi, e_lo, t), pair_factor(e_lo, e_hi, t))
 
     def test_identical_pair_reduces_to_single_emitter_rates(self):
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA, gamma_pd=REF_GAMMA_PD, sigma=REF_SIGMA)
-        pc = dk.pair_coupling(e, e)
-        assert pc.gamma_sum == pytest.approx(2 * e.total_dephasing)
-        assert pc.sigma_pair**2 == pytest.approx(2 * e.sigma**2)
+        t = self.TAU
+        single = np.exp(-e.total_dephasing * np.abs(t) - 2 * math.pi**2 * e.sigma**2 * t**2)
+        assert pair_factor(e, e, t) == pytest.approx(single**2)
+
+    def test_equals_coherent_excess_of_g2_kernel(self):
+        # g2 = incoherent part + 2 I_i I_j / (I_i + I_j)^2 x the pair factor.
+        e_i = dk.Emitter(energy=30.0, gamma=1.9, gamma_pd=2.5, sigma=1.0, intensity=1.0)
+        e_j = dk.Emitter(energy=-16.0, gamma=0.8, gamma_pd=3.5, sigma=1.6, intensity=2.5)
+        pair = dk.EmitterSystem((e_i, e_j))
+        tau = np.linspace(-3.0, 3.0, 61)
+        excess = dk.g2_general(pair, tau) - dk.g2_general(pair, tau, coherent=False)
+        scale = (e_i.intensity + e_j.intensity) ** 2 / (2 * e_i.intensity * e_j.intensity)
+        np.testing.assert_allclose(pair_factor(e_i, e_j, tau), excess * scale, rtol=0, atol=1e-12)
 
 
 class TestG2Ideal:
@@ -238,3 +256,28 @@ class TestCurveIo:
         np.testing.assert_allclose(back.delays, curve.delays)
         np.testing.assert_allclose(back.values, curve.values)
         np.testing.assert_allclose(back.errors, curve.errors)
+
+
+ROWS = "0.0\t1\n0.02\t5\n"
+MALFORMED = {
+    "bad cell": "0.0\t1\n0.02\tabc\n",
+    "ragged row": ROWS + "0.04\t5\t7\n",
+    "one column": "0.0\n0.02\n",
+    "fractional count": "0.0\t1.5\n0.02\t5\n",
+    "bad seed": "# seed = one\n" + ROWS,
+    "bad resolution": "# resolution_fwhm_ueV = wide\n" + ROWS,
+}
+CASES = [
+    (reader, name)
+    for reader in ("curve", "histogram", "spectrum")
+    for name in ("bad cell", "ragged row", "one column")
+] + [("histogram", "fractional count"), ("histogram", "bad seed"), ("spectrum", "bad resolution")]
+
+
+@pytest.mark.parametrize("reader,name", CASES, ids=[f"{r}-{n}" for r, n in CASES])
+def test_malformed_table_file_is_parameter_error(tmp_path, reader, name):
+    """Every table reader turns a malformed file into one ParameterError naming it."""
+    path = tmp_path / "table.tsv"
+    path.write_text(MALFORMED[name])
+    with pytest.raises(dk.ParameterError, match="table.tsv"):
+        getattr(dk, f"read_{reader}")(path)

@@ -1,7 +1,6 @@
 """The Monte Carlo oracle's blocks on a thread pool: same bits, bounded memory.
 
-``mc_g2`` and ``mc_coherence_pair`` spread their realization blocks over one
-worker per usable core. The result must be the sequential block loop's bit
+``mc_g2`` spreads its realization blocks over one worker per usable core. The result must be the sequential block loop's bit
 for bit at any worker count, so these tests compare with ``np.array_equal``
 against the loop frozen in ``mc_reference.py``. The worker count is set by
 patching ``os.sched_getaffinity`` as the oracle sees it.
@@ -43,11 +42,7 @@ def detuned_system(n):
 @functools.lru_cache(maxsize=None)
 def sequential(n, n_real):
     emitters = detuned_system(n).emitters
-    g2 = mc_reference.sequential_g2(emitters, TAU, n_real, SEED.seed, SEED.stream_id)
-    pair = mc_reference.sequential_coherence_pair(
-        emitters[0], emitters[-1], TAU, n_real, SEED.seed, SEED.stream_id
-    )
-    return g2, pair
+    return mc_reference.sequential_g2(emitters, TAU, n_real, SEED.seed, SEED.stream_id)
 
 
 def use_workers(monkeypatch, workers):
@@ -62,22 +57,17 @@ def use_workers(monkeypatch, workers):
 def test_bit_identical_to_sequential_loop(monkeypatch, n, n_real, workers):
     use_workers(monkeypatch, workers)
     system = detuned_system(n)
-    (values, errors), (mean, stderr) = sequential(n, n_real)
+    values, errors = sequential(n, n_real)
     curve = dk.mc_g2(system, TAU, n_real, SEED)
     assert np.array_equal(curve.values, values)
     assert np.array_equal(curve.errors, errors)
-    pair_mean, pair_stderr = dk.mc_coherence_pair(
-        system.emitters[0], system.emitters[-1], TAU, n_real, SEED
-    )
-    assert np.array_equal(pair_mean, mean)
-    assert np.array_equal(pair_stderr, stderr)
 
 
 def test_more_workers_than_cores_with_fast_thread_switches(monkeypatch):
     """Eight workers over nine blocks, switching threads every microsecond."""
     use_workers(monkeypatch, 8)
     n_real = 8 * montecarlo.BLOCK_SIZE + 1_234
-    values, errors = sequential(3, n_real)[0]
+    values, errors = sequential(3, n_real)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -94,7 +84,7 @@ def test_cpu_count_fallback(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     assert montecarlo._usable_cores() == 3
     curve = dk.mc_g2(detuned_system(3), TAU, 45_123, SEED)
-    values, errors = sequential(3, 45_123)[0]
+    values, errors = sequential(3, 45_123)
     assert np.array_equal(curve.values, values)
     assert np.array_equal(curve.errors, errors)
 

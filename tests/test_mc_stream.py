@@ -1,10 +1,10 @@
 """The Monte Carlo oracle against its complex-sum reference on the same random stream.
 
-``mc_g2`` and ``mc_coherence_pair`` work on real phase differences; the
-reference in ``mc_reference.py`` keeps the complex trajectories. Both must
-draw the same normals in the same order, so they agree to rounding on any
-system, grid, seed and realization count, including counts that end in a
-partial block.
+``mc_g2`` works on real phase differences; the reference in
+``mc_reference.py`` keeps the complex trajectories. Both must draw the same
+normals in the same order, so they agree to rounding on any system of two to
+four emitters, grid, seed and realization count, including counts that end
+in a partial block.
 
 The errors are compared as sample variances, n_real * stderr^2. A standard
 error is the square root of a variance taken as E[x^2] - E[x]^2, so where
@@ -65,16 +65,4 @@ class TestSameRandomStream:
         np.testing.assert_allclose(curve.values, values, rtol=0, atol=TOLERANCE)
         np.testing.assert_allclose(
             n_real * curve.errors**2, n_real * errors**2, rtol=0, atol=TOLERANCE
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(e_i=emitters, e_j=emitters, tau=grids(), n_real=n_reals, rng=seeds)
-    def test_mc_coherence_pair_matches_complex_sum(self, e_i, e_j, tau, n_real, rng):
-        mean, stderr = dk.mc_coherence_pair(e_i, e_j, tau, n_real, rng)
-        ref_mean, ref_stderr = mc_reference.coherence_pair(
-            e_i, e_j, tau, n_real, rng.seed, rng.stream_id
-        )
-        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=TOLERANCE)
-        np.testing.assert_allclose(
-            n_real * stderr**2, n_real * ref_stderr**2, rtol=0, atol=TOLERANCE
         )

@@ -8,37 +8,31 @@ from scipy.stats import chisquare
 
 import dotkit as dk
 
-from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
-
-
-def pair_coherence_analytic(pc: dk.PairCoupling, tau):
-    """Closed-form pair coherence used as the oracle target."""
-    return (
-        np.exp(-pc.gamma_sum * np.abs(tau) - 2 * math.pi**2 * pc.sigma_pair**2 * tau**2)
-        * np.cos(pc.detuning * tau)
-    )
+from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA, mc_pair_factor, pair_factor
 
 
 class TestCoherencePair:
+    """The pair-coherence factor as ``mc_g2`` samples it on two emitters."""
+
     def test_deterministic_limit(self):
         # No dephasing, no diffusion: exact exponential with zero variance.
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA)
-        mean, err = dk.mc_coherence_pair(e, e, 0.5, 500, dk.RngSeed(0))
+        mean, err = mc_pair_factor(e, e, 0.5, 500, dk.RngSeed(0))
         assert mean == pytest.approx(math.exp(-REF_GAMMA * 0.5), rel=1e-12)
         assert err == 0.0
 
     def test_reference_parameters_against_closed_form(self):
         # exp(-0.57 - 0.3948) = 0.3811 at tau = 0.1 ns
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA, gamma_pd=REF_GAMMA_PD, sigma=REF_SIGMA)
-        target = pair_coherence_analytic(dk.pair_coupling(e, e), 0.1)
+        target = pair_factor(e, e, 0.1)
         assert target == pytest.approx(0.381065, abs=1e-5)
-        mean, err = dk.mc_coherence_pair(e, e, 0.1, 100_000, dk.RngSeed(1))
+        mean, err = mc_pair_factor(e, e, 0.1, 100_000, dk.RngSeed(1))
         assert abs(mean - target) <= 3 * err
         assert err < 0.01
 
     def test_zero_delay_exact(self):
         e = dk.Emitter(energy=40.0, gamma=2.0, gamma_pd=3.0, sigma=2.0)
-        mean, err = dk.mc_coherence_pair(e, e, 0.0, 200, dk.RngSeed(2))
+        mean, err = mc_pair_factor(e, e, 0.0, 200, dk.RngSeed(2))
         assert mean == 1.0
         assert err == 0.0
 
@@ -46,19 +40,19 @@ class TestCoherencePair:
         e_hi = dk.Emitter(energy=20.0, gamma=0.7, gamma_pd=2.5, sigma=1.0)
         e_lo = dk.Emitter(energy=0.0, gamma=0.7, gamma_pd=2.5, sigma=1.0)
         tau = np.array([0.05, 0.1, 0.2])
-        mean, err = dk.mc_coherence_pair(e_hi, e_lo, tau, 50_000, dk.RngSeed(3))
-        target = pair_coherence_analytic(dk.pair_coupling(e_hi, e_lo), tau)
+        mean, err = mc_pair_factor(e_hi, e_lo, tau, 50_000, dk.RngSeed(3))
+        target = pair_factor(e_hi, e_lo, tau)
         np.testing.assert_array_less(np.abs(mean - target), 3 * err + 1e-12)
 
     def test_needs_enough_realizations(self):
         e = dk.Emitter(energy=0.0, gamma=1.0)
         with pytest.raises(dk.ParameterError):
-            dk.mc_coherence_pair(e, e, 0.1, 50, dk.RngSeed(0))
+            mc_pair_factor(e, e, 0.1, 50, dk.RngSeed(0))
 
     def test_standard_error_scales_as_sqrt_n(self):
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA, gamma_pd=REF_GAMMA_PD, sigma=REF_SIGMA)
-        _, err_n = dk.mc_coherence_pair(e, e, 0.15, 20_000, dk.RngSeed(4))
-        _, err_2n = dk.mc_coherence_pair(e, e, 0.15, 40_000, dk.RngSeed(4))
+        _, err_n = mc_pair_factor(e, e, 0.15, 20_000, dk.RngSeed(4))
+        _, err_2n = mc_pair_factor(e, e, 0.15, 40_000, dk.RngSeed(4))
         assert err_n / err_2n == pytest.approx(math.sqrt(2), rel=0.1)
 
 
