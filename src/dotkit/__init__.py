@@ -65,7 +65,6 @@ from .spectra import (
     Instrument,
     Spectrum,
     read_spectrum,
-    sample_ensemble,
     synth_spectrum,
     write_spectrum,
 )
@@ -81,8 +80,6 @@ from .tuning import (
     calibrate_ramp,
     crosstalk_kernel,
     read_journal,
-    stark_shift,
-    thermal_cycle,
     tune_to_target,
     write_journal,
 )

@@ -44,8 +44,6 @@ class Emitter:
         coupling), dimensionless weight >= 0.
     position : float
         Location along the waveguide in um.
-    stark_coeff : float
-        Linear Stark coefficient in ueV/V.
     """
 
     energy: float
@@ -54,7 +52,6 @@ class Emitter:
     sigma: float = 0.0
     intensity: float = 1.0
     position: float = 0.0
-    stark_coeff: float = 0.0
 
     def __post_init__(self):
         if not self.gamma > 0:

@@ -1,4 +1,4 @@
-"""Parameter estimation: g2 curve fits and spectral peak location.
+"""Parameter estimation: g2 curve fits and the location of one spectral line.
 
 Both run on one estimator, a bounded Levenberg-Marquardt least squares
 written here (``_fit_least_squares``), with standard errors from the
@@ -7,16 +7,15 @@ error-weighted sum of squares between data and the forward model
 (convolved with the timing response) from the guess plus randomized
 restarts. Their Jacobian is scipy's 2-point forward difference, computed
 here curve by curve: a column re-evaluates only the curves its parameter
-moves, and a ``scale`` column none. Spectral peaks are fit as pseudo-Voigt
-profiles over a constant background from one start with an analytic
-Jacobian; having no per-point errors, their covariance is scaled by the
-residual variance. Nothing here imports scipy.
+moves, and a ``scale`` column none. A spectrum holding one line is fit as
+a pseudo-Voigt profile over a constant background, from one start on its
+tallest sample, with an analytic Jacobian; having no per-point errors, its
+covariance is scaled by the residual variance. Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -38,10 +37,6 @@ from .spectra import Spectrum
 # spacing between consecutive emitters; "scale" a free overall
 # normalization of the curve.
 G2_PARAM_NAMES = ("gamma", "gamma_pd", "sigma", "delta_ueV", "scale")
-
-
-class OverlappingPeaksWarning(UserWarning):
-    """Fitted peaks blend into fewer lines than were asked for."""
 
 
 @dataclass(frozen=True)
@@ -475,51 +470,44 @@ class PeakFit:
 
 
 def _peak_model(theta, x):
-    """Background plus pseudo-Voigt peaks, and the model's Jacobian.
+    """Background plus one pseudo-Voigt line, and the model's Jacobian.
 
-    ``theta`` is (background, eta, center_0, fwhm_0, height_0, ...), with
-    one shared Lorentzian fraction ``eta``. Both arrays take ``theta``'s
-    dtype, so a complex ``theta`` gives complex-step derivatives.
+    ``theta`` is (background, eta, center, fwhm, height), ``eta`` being the
+    Lorentzian fraction. Both arrays take ``theta``'s dtype, so a complex
+    ``theta`` gives complex-step derivatives.
     """
-    background, eta = theta[0], theta[1]
+    background, eta, center, width, height = theta
+    z = (x - center) / width
+    lorentz, gauss = _line_shapes(z)
+    shape = eta * lorentz + (1.0 - eta) * gauss
+    # d(shape)/dz, using dL/dz = -8 z L^2 and dG/dz = -8 ln2 z G
+    slope = -8.0 * z * (eta * lorentz**2 + (1.0 - eta) * math.log(2.0) * gauss)
     model = np.full(x.shape, background, dtype=theta.dtype)
+    model += height * shape
     jac = np.empty((x.size, theta.size), dtype=theta.dtype)
     jac[:, 0] = 1.0
-    jac[:, 1] = 0.0
-    for p in range(2, theta.size, 3):
-        center, width, height = theta[p : p + 3]
-        z = (x - center) / width
-        lorentz, gauss = _line_shapes(z)
-        shape = eta * lorentz + (1.0 - eta) * gauss
-        # d(shape)/dz, using dL/dz = -8 z L^2 and dG/dz = -8 ln2 z G
-        slope = -8.0 * z * (eta * lorentz**2 + (1.0 - eta) * math.log(2.0) * gauss)
-        model += height * shape
-        jac[:, 1] += height * (lorentz - gauss)
-        jac[:, p] = -height * slope / width
-        jac[:, p + 1] = -height * slope * z / width
-        jac[:, p + 2] = shape
+    jac[:, 1] = height * (lorentz - gauss)
+    jac[:, 2] = -height * slope / width
+    jac[:, 3] = -height * slope * z / width
+    jac[:, 4] = shape
     return model, jac
 
 
-def _prominence(y, p):
-    """Prominence of the maximum at ``p`` and its left and right bases.
+def _tallest_line(y):
+    """Index of the tallest sample (the first on ties) and the line's width.
 
-    Each side runs from ``p`` up to the first higher sample (or the end);
-    its base is the lowest sample there, the one nearest ``p`` on ties.
-    This is ``scipy.signal.peak_prominences`` with no window.
+    The line's bases are the lowest sample on each side of it, the nearest
+    on ties, and its width in samples is taken at half its prominence
+    (height over the higher base), interpolated between samples. For a
+    maximum on one interior sample this is the tallest maximum of
+    ``scipy.signal.find_peaks`` and its ``peak_widths``. A maximum on the
+    first or last sample has no base beyond it, hence zero prominence and
+    zero width.
     """
-    higher = np.flatnonzero(y[:p] > y[p])
-    lo = higher[-1] + 1 if higher.size else 0
-    higher = np.flatnonzero(y[p + 1 :] > y[p])
-    hi = p + higher[0] if higher.size else y.size - 1
-    left = p - int(np.argmin(y[lo : p + 1][::-1]))
-    right = p + int(np.argmin(y[p : hi + 1]))
-    return y[p] - max(y[left], y[right]), left, right
-
-
-def _half_width(y, p, prominence, left, right):
-    """Width in samples at half the prominence, interpolated between
-    samples and searched within the bases (``scipy.signal.peak_widths``)."""
+    p = int(np.argmax(y))
+    left = p - int(np.argmin(y[p::-1]))
+    right = p + int(np.argmin(y[p:]))
+    prominence = y[p] - max(y[left], y[right])
     height = y[p] - prominence * 0.5
     below = np.flatnonzero(y[left + 1 : p + 1] <= height)
     i = left + 1 + below[-1] if below.size else left
@@ -527,102 +515,43 @@ def _half_width(y, p, prominence, left, right):
     below = np.flatnonzero(y[p:right] <= height)
     i = p + below[0] if below.size else right
     stop = i - ((height - y[i]) / (y[i - 1] - y[i]) if y[i] < height else 0.0)
-    return stop - start
+    return p, stop - start
 
 
-def _prominent_maxima(y, floor, distance, count):
-    """Indices (ascending) and half-maximum widths of the ``count`` tallest
-    maxima that ``scipy.signal.find_peaks(y, prominence=floor,
-    distance=distance)`` keeps; widths only when ``count`` were found.
+def _peak_start(x, y, instrument_fwhm: float):
+    """Starting point and bounds of a line fit, keyed by parameter name.
 
-    Local maxima (a flat top counts once, at its middle sample) are taken
-    tallest first; one within ``distance`` samples of an earlier kept
-    maximum is dropped, and a kept one counts when its prominence reaches
-    ``floor``. Visiting tallest first stops after ``count`` such maxima
-    instead of measuring every noise bump.
+    The line starts on the tallest sample, an edge sample included, with
+    its measured half-maximum width but no narrower than 1.2 instrument
+    resolutions.
     """
-    changes = np.flatnonzero(y[1:] != y[:-1])  # y[i] != y[i + 1]
-    rises = y[changes + 1] > y[changes]
-    top = np.flatnonzero(rises[:-1] & ~rises[1:])
-    maxima = (changes[top] + 1 + changes[top + 1]) // 2
-    blocked = np.zeros(y.size, dtype=bool)
-    found = []
-    for p in maxima[np.argsort(y[maxima])[::-1]]:
-        if len(found) == count and y[p] < y[found[-1][0]]:
-            break  # every maximum left is lower than the count found
-        if blocked[p]:
-            continue
-        blocked[max(p - distance + 1, 0) : p + distance] = True
-        prominence, left, right = _prominence(y, p)
-        if prominence >= floor:
-            found.append((p, prominence, left, right))
-    found.sort()
-    idx = np.array([f[0] for f in found], dtype=int)
-    if len(found) < count:
-        return idx, None
-    if len(found) > count:
-        # Tied for the last place: pick as argsort does over every kept maximum.
-        chosen = np.sort(idx[np.argsort(y[idx])[::-1]][:count])
-        found = [f for f in found if f[0] in chosen]
-        idx = chosen
-    return idx, np.array([_half_width(y, *f) for f in found])
-
-
-def _initial_peaks(x, y, n_peaks, instrument_fwhm):
-    """Center and FWHM guesses for ``n_peaks`` lines, sorted by center.
-
-    When every requested line is resolved, each width guess is its
-    measured half-maximum width; otherwise all widths start at 1.2
-    instrument resolutions.
-    """
-    min_distance = max(int(instrument_fwhm / (x[1] - x[0])), 1)
-    idx, measured = _prominent_maxima(y, 0.05 * np.ptp(y), min_distance, n_peaks)
-    widths = np.full(n_peaks, 1.2 * instrument_fwhm)
-    if measured is not None:
-        widths = np.maximum(measured * (x[1] - x[0]), widths)
-    guesses = list(x[idx])
-    anchor = guesses[0] if guesses else float(x[np.argmax(y)])
-    offset = 1
-    while len(guesses) < n_peaks:
-        # Fewer prominent maxima than requested: unresolved lines. Seed the
-        # extras beside the tallest structure so the fit can split it.
-        side = instrument_fwhm * ((offset + 1) // 2) * (1 if offset % 2 else -1)
-        guesses.append(float(np.clip(anchor + side, x[0], x[-1])))
-        offset += 1
-    return sorted(guesses), widths
-
-
-def _peak_start(x, y, n_peaks: int, instrument_fwhm: float):
-    """Starting point and bounds of a peak fit, keyed by parameter name."""
+    p, width = _tallest_line(y)
+    width = max(width * (x[1] - x[0]), 1.2 * instrument_fwhm)
     background = float(np.percentile(y, 5))
     span = float(x[-1] - x[0])
-    free = {
+    return {
         "background": (background, 0.0, max(float(y.max()), 1e-30)),
         "eta": (0.3, 0.0, 1.0),
+        "center": (float(x[p]), float(x[0]), float(x[-1])),
+        "fwhm": (min(float(width), span), 0.3 * instrument_fwhm, span),
+        "height": (
+            max(float(y[p]) - background, 1e-3 * np.ptp(y)),
+            0.0,
+            2.0 * float(np.ptp(y)) + 1e-30,
+        ),
     }
-    centers, widths = _initial_peaks(x, y, n_peaks, instrument_fwhm)
-    for p, (center, width) in enumerate(zip(centers, widths)):
-        height = max(float(np.interp(center, x, y)) - background, 1e-3 * np.ptp(y))
-        free[f"center{p}"] = (float(center), float(x[0]), float(x[-1]))
-        free[f"fwhm{p}"] = (min(float(width), span), 0.3 * instrument_fwhm, span)
-        free[f"height{p}"] = (height, 0.0, 2.0 * float(np.ptp(y)) + 1e-30)
-    return free
 
 
-def fit_spectrum_peaks(
-    spectrum: Spectrum,
-    n_peaks: int,
-    instrument_fwhm: float | None = None,
-) -> list[PeakFit]:
-    """Locate emission lines as pseudo-Voigt peaks over a flat background.
+def fit_spectrum_peaks(spectrum: Spectrum, instrument_fwhm: float | None = None) -> PeakFit:
+    """Locate one emission line as a pseudo-Voigt peak over a flat background.
 
-    Returns peaks sorted by center, with ``center_err`` from the fit's
-    covariance scaled by the residual variance (the spectrum carries no
-    per-point errors). Warns with :class:`OverlappingPeaksWarning` when the
-    fitted lines blend (see :func:`_warn_unresolved`).
+    The fit starts on the spectrum's tallest sample (see :func:`_peak_start`);
+    a line whose maximum falls on the first or last sample is fit from
+    there, and a caller that wants it inside the window rescans around the
+    fitted center, as :class:`dotkit.tuning.EnergyMeter` does.
+    ``center_err`` comes from the fit's covariance scaled by the residual
+    variance (the spectrum carries no per-point errors).
     """
-    if n_peaks < 1:
-        raise ParameterError(f"need n_peaks >= 1, got {n_peaks}")
     if instrument_fwhm is None:
         instrument_fwhm = spectrum.instrument.resolution_fwhm
     if spectrum.step > instrument_fwhm / 3.0 + 1e-12:
@@ -632,7 +561,7 @@ def fit_spectrum_peaks(
     # tolerance then acts on ueV-scale centers, not on ~1e6 ueV energies.
     origin = 0.5 * (spectrum.energies[0] + spectrum.energies[-1])
     x, y = spectrum.energies - origin, spectrum.intensities
-    free = _peak_start(x, y, n_peaks, instrument_fwhm)
+    free = _peak_start(x, y, instrument_fwhm)
     # The solver asks for the Jacobian at the point whose residuals it just
     # computed; keep the last evaluation so each point costs one model call.
     last = {}
@@ -655,44 +584,12 @@ def fit_spectrum_peaks(
         raise FitFailureError("peak fit did not converge")
     variance_scale = math.sqrt(result.residual_norm / max(x.size - len(free), 1))
     est = result.estimates
-    peaks = [
-        PeakFit(
-            center=origin + est[f"center{p}"].value,
-            center_err=est[f"center{p}"].stderr * variance_scale,
-            fwhm=est[f"fwhm{p}"].value,
-            amplitude=est[f"height{p}"].value,
-        )
-        for p in range(n_peaks)
-    ]
-    peaks.sort(key=lambda pk: pk.center)
-    _warn_unresolved(peaks, instrument_fwhm)
-    return peaks
-
-
-def _warn_unresolved(peaks: Sequence[PeakFit], instrument_fwhm: float) -> None:
-    """Warn when fitted peaks (sorted by center) do not make distinct lines.
-
-    Two neighbours blend when their centers lie closer than the instrument
-    resolution, or closer than their mean FWHM, where their half-maximum
-    intervals overlap. A component below 1% of the tallest fit to zero.
-    """
-    tallest = max(pk.amplitude for pk in peaks)
-    for a, b in zip(peaks, peaks[1:]):
-        limit = max(instrument_fwhm, 0.5 * (a.fwhm + b.fwhm))
-        if b.center - a.center < limit:
-            warnings.warn(
-                f"peaks at {a.center:.2f} and {b.center:.2f} ueV are closer than "
-                f"{limit:.3g} ueV, the larger of the instrument resolution "
-                f"({instrument_fwhm:g} ueV) and their mean fitted FWHM",
-                OverlappingPeaksWarning,
-            )
-    for pk in peaks:
-        if tallest > 0 and pk.amplitude < 0.01 * tallest:
-            warnings.warn(
-                f"the component at {pk.center:.2f} ueV fit to zero amplitude; "
-                f"the spectrum does not resolve {len(peaks)} distinct lines",
-                OverlappingPeaksWarning,
-            )
+    return PeakFit(
+        center=origin + est["center"].value,
+        center_err=est["center"].stderr * variance_scale,
+        fwhm=est["fwhm"].value,
+        amplitude=est["height"].value,
+    )
 
 
 def format_fit_report(result: FitResult, title: str = "g2 fit") -> str:

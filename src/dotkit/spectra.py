@@ -1,4 +1,4 @@
-"""Forward model of measured emission spectra and ensemble generation.
+"""Forward model of measured emission spectra, and their text files.
 
 Each emitter contributes a Voigt line: Lorentzian width from radiative
 decay plus pure dephasing, Gaussian width from spectral diffusion combined
@@ -143,14 +143,6 @@ def synth_spectrum(
         intensity = intensity + gen.normal(0.0, intensity.max() / noise_snr, grid.size)
         intensity = np.maximum(intensity, 0.0)
     return Spectrum(grid, intensity, instrument)
-
-
-def sample_ensemble(n: int, center: float, fwhm: float, rng) -> np.ndarray:
-    """Draw emitter energies from the inhomogeneous Gaussian distribution."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    gen = as_generator(rng)
-    return gen.normal(center, fwhm / GAUSSIAN_FWHM_SIGMA, size=n)
 
 
 def write_spectrum(path, spectrum: Spectrum, header=()) -> None:

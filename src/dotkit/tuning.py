@@ -4,7 +4,7 @@ The plant is phenomenological: thermal transport and crystallization
 kinetics are collapsed into a position-dependent power threshold, a linear
 growth rate above it, a cubic superlinear amplification above the kink
 power, and a Gaussian spatial crosstalk kernel. Strain shifts are
-irreversible (blue only); the reversible knob is the linear Stark bias.
+irreversible (blue only).
 
 The controller measures energies the way the experiment does: it
 synthesizes a windowed high-resolution scan of one emitter at a time
@@ -56,7 +56,6 @@ class PlantConfig:
     kink_gain: float = 25.0  # cubic amplification scale above the kink
     kernel_sigma: float = 0.196  # um, crosstalk falloff
     step_noise: float = 1.0  # ueV rms added per exposure
-    thermal_cycle_redshift: float = 150.0  # ueV, optional scripted event
     settling_shift: float = 0.0  # ueV applied to all emitters after pulse 1
 
     def __post_init__(self):
@@ -95,8 +94,8 @@ class PlantState:
     """Mutable plant: crystallization fractions and accumulated shifts.
 
     ``emitter_shifts`` holds the irreversible strain blue-shifts;
-    ``offsets`` is the hook for scripted global events (thermal cycling,
-    post-first-exposure settling) and may be negative.
+    ``offsets`` holds global shifts of every line, such as the
+    post-first-exposure settling, and may be negative.
     """
 
     system: EmitterSystem
@@ -214,22 +213,6 @@ def apply_exposure(
     return state, shifts
 
 
-def thermal_cycle(state: PlantState, cfg: PlantConfig, rng) -> np.ndarray:
-    """Scripted warm-up/cool-down event: red-shifts every emitter by about
-    the configured amount (strain shifts themselves are untouched)."""
-    gen = as_generator(rng)
-    reds = gen.normal(
-        cfg.thermal_cycle_redshift, 0.1 * cfg.thermal_cycle_redshift, len(state.system)
-    )
-    state.offsets = state.offsets - reds
-    return -reds
-
-
-def stark_shift(e: Emitter, bias: float, reference_bias: float = 0.0) -> float:
-    """Reversible linear Stark detuning in ueV for the given bias change."""
-    return e.stark_coeff * (bias - reference_bias)
-
-
 # Room, in linewidths, that the meter's derived scan window leaves beyond
 # the spectrometer's coverage rule for the line to sit off the expected center.
 WINDOW_PLAY_LINEWIDTHS = 2.0
@@ -298,7 +281,7 @@ class EnergyMeter:
                 spectrum = synth_spectrum(
                     EmitterSystem((line,)), self.instrument, grid, self.snr, gen
                 )
-                peak = fit_spectrum_peaks(spectrum, 1)[0]
+                peak = fit_spectrum_peaks(spectrum)
             except GridCoverageError:
                 # The line jumped out of the window; widen and retry.
                 half *= 4.0
@@ -599,23 +582,24 @@ def read_journal(path) -> ExposureLog:
     """Parse a journal back into an equivalent log for audit replay.
 
     Journals written before the ``rescans`` column existed read with
-    ``rescans = 0``.
+    ``rescans = 0``. A malformed row raises :class:`ParameterError` naming
+    the file and line.
     """
     log = ExposureLog()
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        _, site, power, duration, energies, spectra, *rescans = line.split("\t")
-        record = ExposureRecord(
-            pulse=ExposurePulse(float(site), float(power), float(duration)),
-            energies={
-                int(item.split("=")[0]): float(item.split("=")[1])
-                for item in energies.split(";")
-                if item
-            },
-            spectra=tuple(spectra.split(",")) if spectra != "-" else (),
-            rescans=int(rescans[0]) if rescans else 0,
-        )
+        try:
+            _, site, power, duration, energies, spectra, *rescans = line.split("\t")
+            pairs = (item.split("=") for item in energies.split(";") if item)
+            record = ExposureRecord(
+                pulse=ExposurePulse(float(site), float(power), float(duration)),
+                energies={int(index): float(energy) for index, energy in pairs},
+                spectra=tuple(spectra.split(",")) if spectra != "-" else (),
+                rescans=int(rescans[0]) if rescans else 0,
+            )
+        except ValueError as err:
+            raise ParameterError(f"journal {path}, line {number}: {err}") from err
         log.append(record)
     return log

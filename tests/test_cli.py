@@ -74,6 +74,24 @@ class TestConfigValidation:
         assert run_cli("model", "--config", path, "--out", str(tmp_path / "out")) == 2
         assert "does not match subcommand" in capsys.readouterr().err
 
+    def assert_one_config_error(self, tmp_path, capsys, config):
+        path = write_yaml(tmp_path / "bad.yaml", config)
+        assert run_cli("tune", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:")
+        assert err.count("\n") == 1
+
+    def test_stark_coeff_rejected(self, tmp_path, capsys):
+        # The key never changed an output; it is gone like any unknown key.
+        config = TestCmdTune().tune_config()
+        config["system"]["emitters"][0]["stark_coeff"] = 92.0
+        self.assert_one_config_error(tmp_path, capsys, config)
+
+    def test_thermal_cycle_redshift_rejected(self, tmp_path, capsys):
+        config = TestCmdTune().tune_config()
+        config["tune"]["plant"] = {"thermal_cycle_redshift": 150.0}
+        self.assert_one_config_error(tmp_path, capsys, config)
+
     def test_missing_section(self, tmp_path, capsys):
         config = {"version": 1, "system": model_config()["system"]}
         path = write_yaml(tmp_path / "bad.yaml", config)

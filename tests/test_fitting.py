@@ -2,27 +2,23 @@
 
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from scipy.optimize._numdiff import approx_derivative
 from hypothesis import strategies as st
 
 import dotkit as dk
 from dotkit.fitting import (
     G2_PARAM_NAMES,
-    OverlappingPeaksWarning,
-    PeakFit,
     _fit_least_squares,
     _joint_problem,
     _peak_model,
     _peak_start,
-    _prominent_maxima,
-    _warn_unresolved,
+    _tallest_line,
 )
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
@@ -394,25 +390,16 @@ class TestSpectrumPeaks:
         errors = []
         for _ in range(100):
             spectrum = dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid, 50.0, gen)
-            peak = dk.fit_spectrum_peaks(spectrum, 1)[0]
+            peak = dk.fit_spectrum_peaks(spectrum)
             errors.append(peak.center - self.CENTER)
         assert np.sqrt(np.mean(np.square(errors))) <= 1.0
         assert np.abs(errors).max() <= 1.0
-
-    def test_two_lines_separation(self):
-        system = dk.EmitterSystem((self.line(self.CENTER), self.line(self.CENTER + 540.0)))
-        grid = np.arange(self.CENTER - 300.0, self.CENTER + 840.0, 0.6)
-        spectrum = dk.synth_spectrum(
-            system, dk.Instrument.fabry_perot(), grid, 50.0, dk.RngSeed(21)
-        )
-        peaks = dk.fit_spectrum_peaks(spectrum, 2)
-        assert peaks[1].center - peaks[0].center == pytest.approx(540.0, abs=5.0)
 
     def test_symmetric_line_on_symmetric_grid(self):
         system = dk.EmitterSystem((self.line(self.CENTER),))
         grid = np.arange(self.CENTER - 200.0, self.CENTER + 200.5, 0.5)
         spectrum = dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid)
-        peak = dk.fit_spectrum_peaks(spectrum, 1)[0]
+        peak = dk.fit_spectrum_peaks(spectrum)
         assert peak.center == pytest.approx(self.CENTER, abs=1e-4)
 
     def test_background_invariance(self):
@@ -422,50 +409,24 @@ class TestSpectrumPeaks:
         lifted = dk.Spectrum(
             grid, spectrum.intensities + 0.25 * spectrum.intensities.max(), spectrum.instrument
         )
-        center_a = dk.fit_spectrum_peaks(spectrum, 1)[0].center
-        center_b = dk.fit_spectrum_peaks(lifted, 1)[0].center
+        center_a = dk.fit_spectrum_peaks(spectrum).center
+        center_b = dk.fit_spectrum_peaks(lifted).center
         assert abs(center_a - center_b) <= 0.1
-
-    def test_overlapping_peaks_warn(self):
-        system = dk.EmitterSystem((self.line(self.CENTER), self.line(self.CENTER + 1.5)))
-        grid = np.arange(self.CENTER - 200.0, self.CENTER + 200.0, 0.6)
-        spectrum = dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid)
-        with pytest.warns(OverlappingPeaksWarning):
-            dk.fit_spectrum_peaks(spectrum, 2)
-
-    def test_split_blend_warns(self):
-        # Two equal components 3.2 ueV apart, each 11.5 ueV wide: one line
-        # split in two, although the centers lie beyond the 2.4 ueV resolution.
-        split = [PeakFit(c, 0.01, 11.53, 0.07) for c in (self.CENTER - 0.65, self.CENTER + 2.55)]
-        with pytest.warns(OverlappingPeaksWarning, match="mean fitted FWHM"):
-            _warn_unresolved(split, 2.4)
-
-    def test_resolved_lines_do_not_warn(self):
-        scans = [(spectrum, 1) for spectrum in TestPeakSeeder().meter_scans()]
-        pairs = [case for case in TestPeakFitEstimator().meter_spectra() if case[1] == 2]
-        assert len(scans) == 40 and pairs
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", OverlappingPeaksWarning)
-            for spectrum, n_peaks in scans + pairs:
-                dk.fit_spectrum_peaks(spectrum, n_peaks)
 
     def test_grid_must_resolve_instrument(self):
         system = dk.EmitterSystem((self.line(self.CENTER),))
         grid = np.arange(self.CENTER - 2000.0, self.CENTER + 2000.0, 10.0)
         spectrum = dk.synth_spectrum(system, dk.Instrument.grating(), grid)
         with pytest.raises(dk.ParameterError):
-            dk.fit_spectrum_peaks(spectrum, 1, instrument_fwhm=2.4)
+            dk.fit_spectrum_peaks(spectrum, instrument_fwhm=2.4)
 
 
-def reference_peaks(x, background, eta, *peaks):
-    """Background plus pseudo-Voigt lines, written out independently of dotkit."""
-    out = np.zeros_like(x) + background
-    for center, fwhm, height in zip(peaks[0::3], peaks[1::3], peaks[2::3]):
-        z = (x - center) / fwhm
-        out = out + height * (
-            eta / (1.0 + 4.0 * z**2) + (1.0 - eta) * np.exp(-4.0 * math.log(2.0) * z**2)
-        )
-    return out
+def reference_peak(x, background, eta, center, fwhm, height):
+    """Background plus a pseudo-Voigt line, written out independently of dotkit."""
+    z = (x - center) / fwhm
+    return background + height * (
+        eta / (1.0 + 4.0 * z**2) + (1.0 - eta) * np.exp(-4.0 * math.log(2.0) * z**2)
+    )
 
 
 class TestPeakFitEstimator:
@@ -475,74 +436,54 @@ class TestPeakFitEstimator:
     @given(
         background=st.floats(0.0, 1.0),
         eta=st.floats(0.0, 1.0),
-        peaks=st.lists(
-            st.tuples(st.floats(-80.0, 80.0), st.floats(0.5, 40.0), st.floats(0.01, 10.0)),
-            min_size=1,
-            max_size=3,
-        ),
+        center=st.floats(-80.0, 80.0),
+        fwhm=st.floats(0.5, 40.0),
+        height=st.floats(0.01, 10.0),
     )
-    def test_jacobian_matches_complex_step(self, background, eta, peaks):
+    def test_jacobian_matches_complex_step(self, background, eta, center, fwhm, height):
         # Complex-step derivatives (Squire & Trapp, SIAM Rev. 40, 1998):
         # d model / d theta_i = Im model(theta + i h e_i) / h has no
         # subtraction error, so the tolerance needs no floor for rounding.
-        theta = np.array([background, eta] + [v for peak in peaks for v in peak])
+        theta = np.array([background, eta, center, fwhm, height])
         model, jac = _peak_model(theta, self.GRID)
-        np.testing.assert_allclose(model, reference_peaks(self.GRID, *theta), rtol=1e-12)
+        np.testing.assert_allclose(model, reference_peak(self.GRID, *theta), rtol=1e-12)
         h = 1e-30
         for i in range(theta.size):
             step = theta.astype(complex)
             step[i] += 1j * h
-            numeric = reference_peaks(self.GRID, *step).imag / h
+            numeric = reference_peak(self.GRID, *step).imag / h
             stepped, _ = _peak_model(step, self.GRID)
             scale = np.abs(numeric).max()
             np.testing.assert_allclose(jac[:, i], numeric, rtol=0, atol=1e-9 * scale)
             np.testing.assert_allclose(stepped.imag / h, numeric, rtol=0, atol=1e-9 * scale)
 
     def meter_spectra(self):
-        """Meter-style scans (+-150 ueV, SNR 200) plus the two-line spectrum."""
+        """Meter-style scans of one line: +-150 ueV, SNR 200."""
         line = dict(gamma=1.4, gamma_pd=REF_GAMMA_PD, sigma=REF_SIGMA)
         center = 1_300_000.0
         gen = dk.RngSeed(30).generator()
-        cases = []
         for _ in range(4):
             system = dk.EmitterSystem((dk.Emitter(center + gen.uniform(-25.0, 25.0), **line),))
             grid = np.arange(center - 150.0, center + 150.3, 0.6)
-            cases.append(
-                (dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid, 200.0, gen), 1)
-            )
-        pair = dk.EmitterSystem(
-            (
-                dk.Emitter(center, REF_GAMMA, REF_GAMMA_PD, REF_SIGMA),
-                dk.Emitter(center + 540.0, REF_GAMMA, REF_GAMMA_PD, REF_SIGMA),
-            )
-        )
-        grid = np.arange(center - 300.0, center + 840.0, 0.6)
-        cases.append(
-            (dk.synth_spectrum(pair, dk.Instrument.fabry_perot(), grid, 50.0, dk.RngSeed(21)), 2)
-        )
-        return cases
+            yield dk.synth_spectrum(system, dk.Instrument.fabry_perot(), grid, 200.0, gen)
 
     def test_agrees_with_curve_fit(self):
         # The oracle is scipy's curve_fit from the same start and bounds, on
         # the same axis: offsets from the grid midpoint, which the library
         # fits on (on raw ~1.3e6 ueV energies curve_fit's finite-difference
         # steps alone move its optimum by ~1e-5 ueV).
-        for spectrum, n_peaks in self.meter_spectra():
+        for spectrum in self.meter_spectra():
             energies, y = spectrum.energies, spectrum.intensities
             origin = 0.5 * (energies[0] + energies[-1])
             x = energies - origin
-            start = _peak_start(x, y, n_peaks, spectrum.instrument.resolution_fwhm)
+            start = _peak_start(x, y, spectrum.instrument.resolution_fwhm)
             p0, lower, upper = (np.array(column) for column in zip(*start.values()))
             popt, pcov = scipy.optimize.curve_fit(
-                reference_peaks, x, y, p0=p0, bounds=(lower, upper), maxfev=20000
+                reference_peak, x, y, p0=p0, bounds=(lower, upper), maxfev=20000
             )
-            order = np.argsort(popt[2::3])
-            oracle_centers = origin + popt[2::3][order]
-            oracle_errors = np.sqrt(np.diag(pcov))[2::3][order]
-            peaks = dk.fit_spectrum_peaks(spectrum, n_peaks)
-            for peak, center, err in zip(peaks, oracle_centers, oracle_errors):
-                assert peak.center == pytest.approx(center, abs=1e-6)
-                assert peak.center_err == pytest.approx(err, rel=1e-5)
+            peak = dk.fit_spectrum_peaks(spectrum)
+            assert peak.center == pytest.approx(origin + popt[2], abs=1e-6)
+            assert peak.center_err == pytest.approx(math.sqrt(pcov[2, 2]), rel=1e-5)
 
 
 @st.composite
@@ -640,7 +581,7 @@ class TestSolverOracle:
             )
             x = spectrum.energies - 0.5 * (spectrum.energies[0] + spectrum.energies[-1])
             y = spectrum.intensities
-            free = _peak_start(x, y, 1, meter.instrument.resolution_fwhm)
+            free = _peak_start(x, y, meter.instrument.resolution_fwhm)
 
             def residuals(theta):
                 return _peak_model(theta, x)[0] - y
@@ -652,31 +593,19 @@ class TestSolverOracle:
             reference = self.scipy_trf(residuals, free, jac)
             assert result.converged and reference.success
             assert result.residual_norm <= 2.0 * reference.cost * (1.0 + 1e-8)
-            assert result.estimates["center0"].value == pytest.approx(reference.x[2], abs=1e-5)
+            assert result.estimates["center"].value == pytest.approx(reference.x[2], abs=1e-5)
 
 
-def scipy_maxima(y, floor, distance, count):
-    """The seeder's oracle: the ``count`` tallest of ``find_peaks``' maxima
-    (ascending) and, when it kept that many, their ``peak_widths``."""
+def scipy_maxima(y, floor, distance):
+    """The seeder's oracle: the tallest of ``find_peaks``' maxima and its
+    ``peak_widths``."""
     idx, _ = scipy.signal.find_peaks(y, prominence=floor, distance=distance)
-    idx = np.sort(idx[np.argsort(y[idx])[::-1]][:count])
-    if idx.size < count:
-        return idx, None
-    return idx, scipy.signal.peak_widths(y, idx, rel_height=0.5)[0]
-
-
-def assert_same_maxima(y, floor, distance, count):
-    idx, widths = _prominent_maxima(y, floor, distance, count)
-    want_idx, want_widths = scipy_maxima(y, floor, distance, count)
-    np.testing.assert_array_equal(idx, want_idx)
-    if want_widths is None:
-        assert widths is None
-    else:
-        np.testing.assert_array_equal(widths, want_widths)
+    tallest = idx[np.argmax(y[idx])]
+    return tallest, scipy.signal.peak_widths(y, [tallest], rel_height=0.5)[0][0]
 
 
 class TestPeakSeeder:
-    """The numpy seeder picks the samples and widths scipy.signal does, bit for bit."""
+    """The numpy seeder picks the sample and width scipy.signal does, bit for bit."""
 
     def meter_scans(self):
         meter = dk.EnergyMeter()
@@ -694,32 +623,26 @@ class TestPeakSeeder:
         assert 480 <= scans[0].energies.size <= 520
         for spectrum in scans:
             y = spectrum.intensities
-            assert_same_maxima(y, 0.05 * np.ptp(y), 4, 1)
-
-    def test_two_line_fixtures(self):
-        spectra = [spectrum for spectrum, n in TestPeakFitEstimator().meter_spectra() if n == 2]
-        peaks = TestSpectrumPeaks()
-        center = peaks.CENTER
-        grid = np.arange(center - 200.0, center + 200.0, 0.6)
-        overlapping = dk.EmitterSystem((peaks.line(center), peaks.line(center + 1.5)))
-        spectra.append(dk.synth_spectrum(overlapping, dk.Instrument.fabry_perot(), grid))
-        two = dk.EmitterSystem((peaks.line(center), peaks.line(center + 540.0)))
-        grid = np.arange(center - 300.0, center + 840.0, 0.6)
-        spectra.append(
-            dk.synth_spectrum(two, dk.Instrument.fabry_perot(), grid, 50.0, dk.RngSeed(21))
-        )
-        for spectrum in spectra:
-            y = spectrum.intensities
-            distance = int(spectrum.instrument.resolution_fwhm / spectrum.step)
-            assert_same_maxima(y, 0.05 * np.ptp(y), distance, 2)
+            assert _tallest_line(y) == scipy_maxima(y, 0.05 * np.ptp(y), 4)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        y=st.lists(st.integers(-3, 3), min_size=0, max_size=40),
-        floor=st.sampled_from([0.0, 0.5, 2.0]),
-        distance=st.integers(1, 5),
-        count=st.integers(1, 4),
-    )
-    def test_plateaus_and_ties(self, y, floor, distance, count):
-        # Small integers make flat tops and equal heights common.
-        assert_same_maxima(np.array(y, dtype=float), floor, distance, count)
+    @given(y=st.lists(st.integers(-3, 3), min_size=3, max_size=40))
+    def test_plateaus_and_ties(self, y):
+        # Small integers make flat stretches and equal base candidates
+        # common; below a maximum on one interior sample they must not move
+        # the bases or the width.
+        y = np.array(y, dtype=float)
+        p = int(np.argmax(y))
+        assume(0 < p < y.size - 1 and np.count_nonzero(y == y[p]) == 1)
+        assert _tallest_line(y) == scipy_maxima(y, None, None)
+
+    def test_maximum_on_the_first_sample(self):
+        # The tallest sample is the first one, which scipy.signal would pass
+        # over for the lower interior bump. The line starts on it, and with no
+        # base beyond it its width starts at 1.2 instrument resolutions.
+        x = np.arange(0.0, 60.0, 0.6)
+        y = 1.0 / (1.0 + 4.0 * (x / 5.0) ** 2) + 0.3 * np.exp(-(((x - 40.0) / 3.0) ** 2))
+        assert _tallest_line(y) == (0, 0.0)
+        start = _peak_start(x, y, 2.4)
+        assert start["center"] == (x[0], x[0], x[-1])
+        assert start["fwhm"][0] == 1.2 * 2.4

@@ -121,16 +121,6 @@ class TestSynthSpectrum:
 
 
 class TestSampleEnsemble:
-    def test_inhomogeneous_width(self):
-        # 30 meV fwhm ensemble distribution
-        draws = dk.sample_ensemble(10_000, CENTER, 30_000.0, dk.RngSeed(11))
-        assert draws.std() * dk.GAUSSIAN_FWHM_SIGMA == pytest.approx(30_000.0, rel=0.03)
-
-    def test_single_draw(self):
-        draws = dk.sample_ensemble(1, CENTER, 30_000.0, dk.RngSeed(12))
-        assert draws.shape == (1,)
-        assert np.isfinite(draws[0])
-
     def test_chance_resonance_is_negligible(self):
         # Among 20 draws from the inhomogeneous line, almost no pair falls
         # within 10 ueV: direct estimate over many ensembles.

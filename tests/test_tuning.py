@@ -1,6 +1,7 @@
 """Crystallization plant, crosstalk, and the closed-loop controller."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,31 +167,6 @@ class TestCalibrateRamp:
             dk.calibrate_ramp(state, cfg, 7.5, [2.0, 1.5], 5.0, dk.RngSeed(0))
 
 
-class TestStarkAndThermal:
-    def test_stark_shift_linear_and_reversible(self):
-        e = dk.Emitter(energy=E0, gamma=1.0, stark_coeff=92.0)
-        assert dk.stark_shift(e, 0.5, 0.5) == 0.0
-        assert dk.stark_shift(e, 1.0, 0.5) == pytest.approx(46.0)
-        assert dk.stark_shift(e, 0.0, 0.5) == pytest.approx(-46.0)
-
-    def test_detunings_for_correlation_experiments(self):
-        # A feasible bias step realizes the 0/20/46 ueV detunings.
-        e = dk.Emitter(energy=E0, gamma=1.0, stark_coeff=92.0)
-        for target in (0.0, 20.0, 46.0):
-            bias = 0.5 + target / e.stark_coeff
-            assert dk.stark_shift(e, bias, 0.5) == pytest.approx(target)
-
-    def test_thermal_cycle_red_shifts_everything(self):
-        cfg = dk.PlantConfig()
-        state = make_state([E0, E0 + 500], [7.0, 8.5])
-        shifts = dk.thermal_cycle(state, cfg, dk.RngSeed(11))
-        assert np.all(shifts < 0)
-        assert np.all(np.abs(shifts + cfg.thermal_cycle_redshift) < 0.5 * cfg.thermal_cycle_redshift)
-        np.testing.assert_allclose(state.energies(), [E0, E0 + 500] + shifts)
-        # strain bookkeeping untouched
-        np.testing.assert_allclose(state.emitter_shifts, 0.0)
-
-
 class TestEnergyMeter:
     def test_readout_accuracy(self):
         state = make_state([E0], [7.5])
@@ -207,6 +183,15 @@ class TestEnergyMeter:
         meter.measure(state, 0, gen)
         state.emitter_shifts = state.emitter_shifts + 500.0  # line leaves the window
         assert meter.measure(state, 0, gen) == pytest.approx(E0 + 500.0, abs=0.5)
+        assert meter.last_rescans >= 1
+
+    def test_line_near_the_window_edge(self):
+        # Expected 85% of the window off the line: the first scan holds the
+        # line near its edge, and the meter recenters and rescans.
+        state = make_state([E0], [7.5])
+        meter = dk.EnergyMeter(half_window=400.0)
+        reading = meter.measure(state, 0, dk.RngSeed(14), expected=E0 - 340.0)
+        assert reading == pytest.approx(E0, abs=1.0)
         assert meter.last_rescans >= 1
 
     def test_default_window_fits_the_line(self):
@@ -424,3 +409,23 @@ class TestDeterminismAndJournal:
         assert back.records[0].spectra == ("scan00003", "scan00004")
         assert back.records[1].spectra == ()
         assert back.records[1].pulse.duration == 0.25
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "7\thot\t0.5\t0=1300010.5\t-\t0",
+            "7\t3.1\t0.5",
+            "7\t3.1\t0.5\t0:1300010.5\t-\t0",
+            "7\t3.1\t0.5\t0=near\t-\t0",
+        ],
+        ids=["non-numeric-power", "too-few-fields", "energy-without-equals", "energy-not-a-number"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "journal.txt"
+        path.write_text(
+            "# exposure journal\n"
+            "1\t7\t3.1\t0.5\t0=1300010.5\tscan00001\t0\n"
+            f"2\t{row}\n"
+        )
+        with pytest.raises(dk.ParameterError, match=re.escape(f"journal {path}, line 3: ")):
+            dk.read_journal(path)
