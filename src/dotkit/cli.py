@@ -27,6 +27,7 @@ from .emitters import (
     EmitterSystem,
     G2Curve,
     Irf,
+    _format_table,
     convolve_irf,
     g2_general,
     read_curve,
@@ -343,19 +344,14 @@ def cmd_model(config, outdir: Path) -> None:
     coherent = config["model"]["coherent"]
     irf = _build_irf(config)
     values = g2_general(system, grid, coherent)
-    # Python floats format faster than numpy scalars, to the same text.
-    lines = [f"{t:.10g}\t{v:.10g}" for t, v in zip(grid.tolist(), values.tolist())]
-    columns = "# tau_ns\tg2"
+    names, columns = "# tau_ns\tg2", [grid, values]
     g2_zero_irf = None
     if irf is not None:
-        blurred = convolve_irf(G2Curve(grid, values), irf)
-        lines = [
-            f"{t:.10g}\t{v:.10g}\t{b:.10g}"
-            for t, v, b in zip(grid.tolist(), values.tolist(), blurred.values.tolist())
-        ]
-        columns = "# tau_ns\tg2\tg2_irf"
-        g2_zero_irf = float(blurred.values[np.argmin(np.abs(grid))])
-    (outdir / "curve.tsv").write_text(columns + "\n" + "\n".join(lines) + "\n")
+        blurred = convolve_irf(G2Curve(grid, values), irf).values
+        names, columns = names + "\tg2_irf", [grid, values, blurred]
+        g2_zero_irf = float(blurred[np.argmin(np.abs(grid))])
+    table = _format_table([names], "\t".join(["%.10g"] * len(columns)), columns)
+    (outdir / "curve.tsv").write_text(table)
     height, fwhm = _coherent_peak(system)
     summary = [
         f"n_emitters = {len(system)}",
@@ -459,11 +455,9 @@ def cmd_fit(config, outdir: Path) -> None:
         zip(datasets, specs, joint_curve_params(result, specs))
     ):
         model_vals = evaluate_fit_model(spec, params, data.delays)
-        lines = ["# tau_ns\tg2\tstderr\tmodel"]
         columns = (data.delays, data.values, data.errors, model_vals)
-        for t, v, s, m in zip(*(column.tolist() for column in columns)):
-            lines.append(f"{t:.10g}\t{v:.10g}\t{s:.10g}\t{m:.10g}")
-        (outdir / f"overlay_{k}.tsv").write_text("\n".join(lines) + "\n")
+        table = _format_table(["# tau_ns\tg2\tstderr\tmodel"], "\t".join(["%.10g"] * 4), columns)
+        (outdir / f"overlay_{k}.tsv").write_text(table)
 
 
 def _spectrum_grid(state, meter):

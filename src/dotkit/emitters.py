@@ -353,18 +353,24 @@ def fwhm_from_dephasing(gamma_pd: float) -> float:
 
 def write_curve(path, curve: G2Curve, header: Sequence[str] = ()) -> None:
     """Write a curve as delimited text (tau_ns, g2[, stderr])."""
-    lines = [f"# {h}" for h in header]
-    # Python floats format faster than numpy scalars, to the same text.
-    delays, values = curve.delays.tolist(), curve.values.tolist()
     if curve.errors is None:
-        lines.append("# tau_ns\tg2")
-        for t, v in zip(delays, values):
-            lines.append(f"{t:.10g}\t{v:.10g}")
+        names, columns = "# tau_ns\tg2", (curve.delays, curve.values)
     else:
-        lines.append("# tau_ns\tg2\tstderr")
-        for t, v, s in zip(delays, values, curve.errors.tolist()):
-            lines.append(f"{t:.10g}\t{v:.10g}\t{s:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        names, columns = "# tau_ns\tg2\tstderr", (curve.delays, curve.values, curve.errors)
+    lines = [*(f"# {h}" for h in header), names]
+    Path(path).write_text(_format_table(lines, "\t".join(["%.10g"] * len(columns)), columns))
+
+
+def _format_table(header_lines: Sequence[str], row_format: str, columns) -> str:
+    """The header lines as text, then all rows of ``columns`` formatted by one
+    ``%`` on the interleaved cells; a header line may contain ``%``."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows, width = len(lists[0]) if lists else 0, len(lists)
+    cells = [None] * (n_rows * width)
+    for j, column in enumerate(lists):
+        cells[j::width] = column
+    head = "".join(line + "\n" for line in header_lines)
+    return head + ((row_format + "\n") * n_rows) % tuple(cells)
 
 
 def _read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:

@@ -25,6 +25,7 @@ from .emitters import (
     EmitterSystem,
     G2Curve,
     Irf,
+    _format_table,
     convolve_irf,
     g2_general,
     identical_system,
@@ -611,9 +612,8 @@ def format_fit_report(result: FitResult, title: str = "g2 fit") -> str:
 
 def fit_params_table(result: FitResult) -> str:
     """Machine-readable key-value block of the fit result."""
-    lines = ["# name\testimate\tstderr\tat_bound"]
-    for name, est in result.estimates.items():
-        lines.append(f"{name}\t{est.value:.10g}\t{est.stderr:.10g}\t{int(est.at_bound)}")
-    lines.append(f"residual_norm\t{result.residual_norm:.10g}\t0\t0")
-    lines.append(f"converged\t{int(result.converged)}\t0\t0")
-    return "\n".join(lines) + "\n"
+    rows = [(name, est.value, est.stderr, est.at_bound) for name, est in result.estimates.items()]
+    rows.append(("residual_norm", result.residual_norm, 0, 0))
+    rows.append(("converged", int(result.converged), 0, 0))
+    header = ["# name\testimate\tstderr\tat_bound"]
+    return _format_table(header, "%s\t%.10g\t%.10g\t%d", zip(*rows))

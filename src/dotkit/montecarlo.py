@@ -41,6 +41,7 @@ from .emitters import (
     EmitterSystem,
     G2Curve,
     Irf,
+    _format_table,
     _read_table,
 )
 from .errors import (
@@ -418,9 +419,8 @@ def write_histogram(path, histogram: G2Histogram) -> None:
     lo, hi = histogram.normalization_window
     lines.append(f"# normalization_window_ns = {lo:.10g} {hi:.10g}")
     lines.append("# bin_center_ns\tcounts")
-    for center, count in zip(histogram.bin_centers.tolist(), histogram.counts.tolist()):
-        lines.append(f"{center:.10g}\t{int(count)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (histogram.bin_centers, histogram.counts)
+    Path(path).write_text(_format_table(lines, "%.10g\t%d", columns))
 
 
 def read_histogram(path) -> G2Histogram:

@@ -18,6 +18,7 @@ from .emitters import (
     HBAR_UEV_NS,
     Emitter,
     EmitterSystem,
+    _format_table,
     _read_table,
     fwhm_from_sigma,
 )
@@ -151,10 +152,8 @@ def write_spectrum(path, spectrum: Spectrum, header=()) -> None:
     lines.append(f"# instrument = {spectrum.instrument.kind}")
     lines.append(f"# resolution_fwhm_ueV = {spectrum.instrument.resolution_fwhm:.10g}")
     lines.append("# energy_ueV\tintensity")
-    # Python floats format faster than numpy scalars, to the same text.
-    for e, y in zip(spectrum.energies.tolist(), spectrum.intensities.tolist()):
-        lines.append(f"{e:.10g}\t{y:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (spectrum.energies, spectrum.intensities)
+    Path(path).write_text(_format_table(lines, "%.10g\t%.10g", columns))
 
 
 def read_spectrum(path) -> Spectrum:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emitters import Emitter, EmitterSystem
+from .emitters import Emitter, EmitterSystem, _format_table
 from .errors import (
     BudgetExhaustedError,
     GridCoverageError,
@@ -130,6 +130,8 @@ class ExposurePulse:
     duration: float  # s
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.site, self.power, self.duration))):
+            raise ParameterError("pulse site, power and duration must be finite")
         if self.power <= 0 or self.duration <= 0:
             raise ParameterError("pulse power and duration must be > 0")
 
@@ -140,6 +142,10 @@ class ExposureRecord:
     energies: dict[int, float]  # measured energies after the pulse, by index
     spectra: tuple[str, ...] = ()
     rescans: int = 0  # window widenings plus recenters during this record's scans
+
+    def __post_init__(self):
+        if self.rescans < 0 or not all(map(math.isfinite, self.energies.values())):
+            raise ParameterError("record rescans must be >= 0 and its energies finite")
 
 
 @dataclass
@@ -564,18 +570,21 @@ def align_resonance(
 
 def write_journal(path, log: ExposureLog) -> None:
     """Serialize the audit trail, one record per pulse."""
-    lines = [
+    header = [
         "# exposure journal",
         "# n site_um power_mW duration_s energies(idx=ueV;...) spectra rescans",
     ]
-    for m, rec in enumerate(log.records, start=1):
-        energies = ";".join(f"{k}={v:.10g}" for k, v in sorted(rec.energies.items()))
-        spectra = ",".join(rec.spectra) if rec.spectra else "-"
-        lines.append(
-            f"{m}\t{rec.pulse.site:.10g}\t{rec.pulse.power:.10g}\t"
-            f"{rec.pulse.duration:.10g}\t{energies}\t{spectra}\t{rec.rescans}"
+    rows = (
+        (
+            m, rec.pulse.site, rec.pulse.power, rec.pulse.duration,
+            ";".join("%d=%.10g" % kv for kv in sorted(rec.energies.items())),
+            ",".join(rec.spectra) if rec.spectra else "-",
+            rec.rescans,
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for m, rec in enumerate(log.records, start=1)
+    )
+    row_format = "%d\t%.10g\t%.10g\t%.10g\t%s\t%s\t%d"
+    Path(path).write_text(_format_table(header, row_format, zip(*rows)))
 
 
 def read_journal(path) -> ExposureLog:
@@ -583,7 +592,9 @@ def read_journal(path) -> ExposureLog:
 
     Journals written before the ``rescans`` column existed read with
     ``rescans = 0``. A malformed row raises :class:`ParameterError` naming
-    the file and line.
+    the file and line: one with other than 6 or 7 tab-separated fields, a
+    field that does not parse, a non-finite number, a repeated energy
+    index, or a negative ``rescans``.
     """
     log = ExposureLog()
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -591,11 +602,17 @@ def read_journal(path) -> ExposureLog:
         if not line or line.startswith("#"):
             continue
         try:
-            _, site, power, duration, energies, spectra, *rescans = line.split("\t")
-            pairs = (item.split("=") for item in energies.split(";") if item)
+            fields = line.split("\t")
+            if len(fields) not in (6, 7):
+                raise ValueError(f"{len(fields)} tab-separated fields, not 6 or 7")
+            _, site, power, duration, energies, spectra, *rescans = fields
+            pairs = [item.split("=") for item in energies.split(";") if item]
+            readings = {int(index): float(energy) for index, energy in pairs}
+            if len(readings) < len(pairs):
+                raise ValueError(f"an energy index is repeated in {energies!r}")
             record = ExposureRecord(
                 pulse=ExposurePulse(float(site), float(power), float(duration)),
-                energies={int(index): float(energy) for index, energy in pairs},
+                energies=readings,
                 spectra=tuple(spectra.split(",")) if spectra != "-" else (),
                 rescans=int(rescans[0]) if rescans else 0,
             )

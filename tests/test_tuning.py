@@ -417,8 +417,27 @@ class TestDeterminismAndJournal:
             "7\t3.1\t0.5",
             "7\t3.1\t0.5\t0:1300010.5\t-\t0",
             "7\t3.1\t0.5\t0=near\t-\t0",
+            "7\t3.1\t0.5\t0=1300010.5\tscan00002\t0\tjunk",
+            "7\t3.1\t0.5\t0=1.0;0=2.0\t-\t0",
+            "7\t3.1\t0.5\t0=1300010.5\t-\t-4",
+            "nan\t3.1\t0.5\t0=1300010.5\t-\t0",
+            "7\tnan\t0.5\t0=1300010.5\t-\t0",
+            "7\t3.1\tinf\t0=1300010.5\t-\t0",
+            "7\t3.1\t0.5\t0=nan\t-\t0",
         ],
-        ids=["non-numeric-power", "too-few-fields", "energy-without-equals", "energy-not-a-number"],
+        ids=[
+            "non-numeric-power",
+            "too-few-fields",
+            "energy-without-equals",
+            "energy-not-a-number",
+            "too-many-fields",
+            "repeated-energy-index",
+            "negative-rescans",
+            "nan-site",
+            "nan-power",
+            "infinite-duration",
+            "nan-energy",
+        ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "journal.txt"
