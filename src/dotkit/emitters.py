@@ -358,6 +358,8 @@ def write_curve(path, curve: G2Curve, header: Sequence[str] = ()) -> None:
     else:
         names, columns = "# tau_ns\tg2\tstderr", (curve.delays, curve.values, curve.errors)
     lines = [*(f"# {h}" for h in header), names]
+    if any(line.splitlines() != [line] for line in lines):
+        raise ParameterError("a curve header item must not break the line")
     Path(path).write_text(_format_table(lines, "\t".join(["%.10g"] * len(columns)), columns))
 
 

@@ -22,7 +22,8 @@ The other emitters are drawn and combined in row chunks; chunked normal
 fills continue the stream exactly as one whole-block draw would. Every
 block is summed over the same array as in a sequential run and the block
 sums are added in block order, so the results do not depend on the number
-of cores.
+of cores. A coincidence histogram is one multinomial draw from its exact
+bin law, so it costs the same for any number of events.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .emitters import (
     Irf,
     _format_table,
     _read_table,
+    convolve_irf,
+    gaussian_kernel,
 )
 from .errors import (
     EmptyPlateauError,
@@ -110,8 +113,8 @@ class G2Histogram:
         if edges.ndim != 1 or edges.size != counts.size + 1:
             raise ParameterError("need len(bin_edges) == len(counts) + 1")
         widths = np.diff(edges)
-        if not np.allclose(widths, widths[0], rtol=1e-6, atol=1e-12):
-            raise ParameterError("bin width must be uniform")
+        if not (widths[0] > 0 and np.allclose(widths, widths[0], rtol=1e-6, atol=1e-12)):
+            raise ParameterError("bin width must be uniform and positive")
         if np.any(counts < 0):
             raise ParameterError("counts must be >= 0")
         lo, hi = self.normalization_window
@@ -316,12 +319,12 @@ def sample_coincidences(
     bin_width: float = 0.02,
     normalization_window: tuple[float, float] = (5.0, 10.0),
 ) -> G2Histogram:
-    """Draw coincidence delays from a model curve and bin them.
+    """Draw a histogram of ``n_events`` coincidence delays from a model curve.
 
-    Delays are drawn on [-window, +window] by inverse transform on the
-    discretized curve, then blurred with Gaussian timing jitter of the
-    IRF's width; events jittered outside the window are redrawn so the
-    histogram holds exactly ``n_events`` counts.
+    The delays follow the curve (linear between its points, flat beyond
+    them) blurred with the IRF's Gaussian jitter and conditioned on
+    [-window, +window]: the counts are one multinomial draw from the bin
+    probabilities of that law, so the cost does not grow with ``n_events``.
     """
     if window <= 0:
         raise EmptyWindowError(f"window must be > 0, got {window}")
@@ -335,55 +338,36 @@ def sample_coincidences(
     lo, hi = normalization_window
     if hi > window:
         raise ParameterError("normalization window must lie inside the sample window")
-
-    # True delays are drawn from a window padded by the jitter reach so
-    # events can also smear INTO the histogram range; beyond the model grid
-    # the plateau is extended with the edge values.
-    pad = 5.0 * irf.sigma
-    reach = window + pad
-    inside = (model.delays >= -reach) & (model.delays <= reach)
-    x = model.delays[inside]
-    y = np.maximum(model.values[inside], 0.0)
-    if x.size == 0 or x[0] > -reach:
-        left = model.values[0] if model.delays[0] > -reach else np.interp(
-            -reach, model.delays, model.values
-        )
-        x = np.concatenate([[-reach], x])
-        y = np.concatenate([[max(left, 0.0)], y])
-    if x[-1] < reach:
-        right = model.values[-1] if model.delays[-1] < reach else np.interp(
-            reach, model.delays, model.values
-        )
-        x = np.concatenate([x, [reach]])
-        y = np.concatenate([y, [max(right, 0.0)]])
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-    if cdf[-1] <= 0:
-        raise EmptyWindowError("model vanishes on the whole window")
-    cdf /= cdf[-1]
-    # Strictly increasing CDF so the piecewise-linear inverse is well defined.
-    cdf = np.maximum.accumulate(cdf + np.linspace(0.0, 1e-12, cdf.size))
-    cdf /= cdf[-1]
-
-    gen = rng.generator()
-    delays = np.empty(n_events)
-    pending = np.arange(n_events)
-    while pending.size:
-        draw = np.interp(gen.uniform(size=pending.size), cdf, x)
-        draw += gen.normal(0.0, irf.sigma, size=pending.size)
-        delays[pending] = draw
-        pending = pending[np.abs(draw) > window]
-
-    n_bins = max(int(round(2.0 * window / bin_width)), 1)
-    edges = np.linspace(-window, window, n_bins + 1)
-    counts, _ = np.histogram(delays, bins=edges)
+    edges, p = _bin_law(model, window, irf, bin_width)
     return G2Histogram(
         bin_edges=edges,
-        counts=counts,
+        counts=rng.generator().multinomial(n_events, p),
         normalization_window=(float(lo), float(hi)),
         seed=rng,
         n_events=n_events,
         irf_fwhm=irf.fwhm,
     )
+
+
+def _bin_law(model: G2Curve, window: float, irf: Irf, bin_width: float):
+    """Bin edges on [-window, +window] and each bin's probability: the curve,
+    clipped at 0, on a grid of a whole number of steps <= fwhm/8 per bin that
+    reaches one step past the IRF kernel beyond the window, blurred, summed
+    per bin by the trapezoid rule and normalized, which conditions on the
+    window."""
+    n_bins = max(int(round(2.0 * window / bin_width)), 1)
+    edges = np.linspace(-window, window, n_bins + 1)
+    per_bin = math.ceil((edges[1] - edges[0]) / (irf.fwhm / 8.0))
+    step = (edges[1] - edges[0]) / per_bin
+    margin = gaussian_kernel(step, irf.fwhm).size // 2 + 1
+    grid = np.arange(-margin, n_bins * per_bin + margin + 1) * step - window
+    density = np.interp(grid, model.delays, np.maximum(model.values, 0.0))
+    blurred = convolve_irf(G2Curve(grid, density), irf).values[margin:-margin]
+    mass = (blurred[:-1] + blurred[1:]).reshape(n_bins, per_bin).sum(axis=1)
+    total = mass.sum()
+    if not total > 0:
+        raise EmptyWindowError("model vanishes on the whole window")
+    return edges, mass / total
 
 
 def normalize_histogram(histogram: G2Histogram) -> G2Curve:
@@ -431,8 +415,12 @@ def read_histogram(path) -> G2Histogram:
         raise ParameterError(f"histogram file {path} needs >= 2 bins")
     if not np.all(np.isfinite(counts) & (np.round(counts) == counts)):
         raise ParameterError(f"histogram file {path}: counts must be whole numbers")
-    width = centers[1] - centers[0]
-    edges = np.concatenate([centers - 0.5 * width, [centers[-1] + 0.5 * width]])
+    # Edges from the end centers and the bin count, met by every center
+    # within the rounding of the 10-digit format.
+    half = 0.5 * (centers[-1] - centers[0]) / (len(centers) - 1)
+    edges = np.linspace(centers[0] - half, centers[-1] + half, len(centers) + 1)
+    if np.abs(centers - (edges[:-1] + half)).max() > 2e-9 * np.abs(centers).max():
+        raise ParameterError(f"histogram file {path}: bin width must be uniform")
     try:  # the header values, and the histogram they describe
         window = tuple(float(v) for v in meta.get("normalization_window_ns", "5 10").split())
         seed = None

@@ -146,12 +146,10 @@ def synth_spectrum(
     return Spectrum(grid, intensity, instrument)
 
 
-def write_spectrum(path, spectrum: Spectrum, header=()) -> None:
+def write_spectrum(path, spectrum: Spectrum) -> None:
     """Write a spectrum as delimited text (energy_ueV, intensity)."""
-    lines = [f"# {h}" for h in header]
-    lines.append(f"# instrument = {spectrum.instrument.kind}")
-    lines.append(f"# resolution_fwhm_ueV = {spectrum.instrument.resolution_fwhm:.10g}")
-    lines.append("# energy_ueV\tintensity")
+    resolution = f"# resolution_fwhm_ueV = {spectrum.instrument.resolution_fwhm:.10g}"
+    lines = [f"# instrument = {spectrum.instrument.kind}", resolution, "# energy_ueV\tintensity"]
     columns = (spectrum.energies, spectrum.intensities)
     Path(path).write_text(_format_table(lines, "%.10g\t%.10g", columns))
 

@@ -1,4 +1,6 @@
-"""Complex-sum reference for the Monte Carlo oracle, used to pin its random stream.
+"""References for the Monte Carlo code: the oracle's complex sum, which pins its
+random stream, and the coincidence sampler's event-by-event draw with the
+closed form of its law.
 
 Written in the oracle's original formulation, not from dotkit's code: each
 emitter's first-order coherence is a complex trajectory
@@ -13,13 +15,19 @@ contract it spells out:
   realization and distinct |tau|, in row-major order;
 - the distinct delays are ``np.unique(|tau|)``.
 
-``sequential_g2`` at the end is the oracle's own sequential block loop,
-frozen, for bit-for-bit checks of its threaded form.
+``sequential_g2`` is the oracle's own sequential block loop, frozen, for
+bit-for-bit checks of its threaded form.
+
+``event_histogram`` is the coincidence sampler as it drew every event, by
+inverse transform on the piecewise-linear curve plus Gaussian jitter, with
+events jittered out of the window redrawn; ``closed_form_law`` is that
+sampler's bin law in closed form.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 HBAR_UEV_NS = 0.6582119569
 BLOCK_SIZE = 20_000
@@ -125,3 +133,55 @@ def sequential_g2(emitters, tau, n_real, seed, stream_id=0):
     incoherent = (weights[:, None] ** 2 * (1.0 - decay)).sum(axis=0)
     cross = norm - (weights**2).sum()
     return ((incoherent + cross + mean) / norm)[inverse], (stderr / norm)[inverse]
+
+
+def _knots(model, window, sigma):
+    """The event sampler's density: knots (x, y) of the curve clipped at 0 on
+    [-reach, reach], reach = window + 5 sigma, extended flat past the grid."""
+    reach = window + 5.0 * sigma
+    inside = (model.delays > -reach) & (model.delays < reach)
+    x = np.concatenate([[-reach], model.delays[inside], [reach]])
+    return x, np.interp(x, model.delays, np.maximum(model.values, 0.0))
+
+
+def event_histogram(model, n_events, window, sigma, seed, bin_width=0.02):
+    """(edges, counts) of ``n_events`` delays drawn one by one."""
+    x, y = _knots(model, window, sigma)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+    cdf /= cdf[-1]
+    # Strictly increasing CDF so the piecewise-linear inverse is well defined.
+    cdf = np.maximum.accumulate(cdf + np.linspace(0.0, 1e-12, cdf.size))
+    cdf /= cdf[-1]
+    gen = np.random.default_rng(seed)
+    delays = np.empty(n_events)
+    pending = np.arange(n_events)
+    while pending.size:
+        draw = np.interp(gen.uniform(size=pending.size), cdf, x)
+        draw += gen.normal(0.0, sigma, size=pending.size)
+        delays[pending] = draw
+        pending = pending[np.abs(draw) > window]
+    n_bins = max(int(round(2.0 * window / bin_width)), 1)
+    edges = np.linspace(-window, window, n_bins + 1)
+    return edges, np.histogram(delays, bins=edges)[0]
+
+
+def closed_form_law(model, window, sigma, edges):
+    """Each bin's probability under ``event_histogram``'s law.
+
+    The density f is piecewise linear on knots x_0..x_n with values y_j and
+    slopes s_j, zero outside. Its convolution with N(0, sigma^2) has the
+    cumulative C(b) = sigma [y_0 Psi1(z_0) - y_n Psi1(z_n)]
+    + sigma^2 sum_j ds_j Psi2(z_j), z_j = (b - x_j) / sigma, where ds_j is
+    the slope change at knot j (s_-1 = s_n = 0), Psi1 = z Phi + phi and
+    Psi2 = ((z^2 + 1) Phi + z phi) / 2; bin masses are differences of C,
+    normalized over the window.
+    """
+    x, y = _knots(model, window, sigma)
+    slopes = np.concatenate([[0.0], np.diff(y) / np.diff(x), [0.0]])
+    z = (np.asarray(edges)[:, None] - x) / sigma
+    cdf, pdf = ndtr(z), np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    psi1 = z * cdf + pdf
+    psi2 = 0.5 * ((z**2 + 1.0) * cdf + z * pdf)
+    c = sigma * (y[0] * psi1[:, 0] - y[-1] * psi1[:, -1]) + sigma**2 * psi2 @ np.diff(slopes)
+    mass = np.diff(c)
+    return mass / mass.sum()

@@ -264,6 +264,9 @@ MALFORMED = {
     "ragged row": ROWS + "0.04\t5\t7\n",
     "one column": "0.0\n0.02\n",
     "fractional count": "0.0\t1.5\n0.02\t5\n",
+    "uneven bins": ROWS + "0.05\t7\n",
+    "repeated centers": "0.0\t1\n0.0\t5\n",
+    "falling centers": "0.02\t1\n0.0\t5\n",
     "bad seed": "# seed = one\n" + ROWS,
     "bad resolution": "# resolution_fwhm_ueV = wide\n" + ROWS,
 }
@@ -271,7 +274,14 @@ CASES = [
     (reader, name)
     for reader in ("curve", "histogram", "spectrum")
     for name in ("bad cell", "ragged row", "one column")
-] + [("histogram", "fractional count"), ("histogram", "bad seed"), ("spectrum", "bad resolution")]
+] + [
+    ("histogram", "fractional count"),
+    ("histogram", "uneven bins"),
+    ("histogram", "repeated centers"),
+    ("histogram", "falling centers"),
+    ("histogram", "bad seed"),
+    ("spectrum", "bad resolution"),
+]
 
 
 @pytest.mark.parametrize("reader,name", CASES, ids=[f"{r}-{n}" for r, n in CASES])

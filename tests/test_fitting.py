@@ -95,8 +95,8 @@ class TestFitG2:
         assert result.estimates["gamma"].value == pytest.approx(2.0, rel=0.15)
 
     def test_detuning_recovery(self):
-        # 20 ueV detuning recovered to within 2 ueV from 1e5 events.
-        data = synthetic_curve(2, REF_GAMMA, spacing=20.0, seed=8000)
+        # 20 ueV detuning recovered to within 2 ueV from 1e6 events.
+        data = synthetic_curve(2, REF_GAMMA, spacing=20.0, seed=8000, n_events=10**6)
         spec = dk.FitSpec(
             fixed={"n": 2, "gamma_pd": REF_GAMMA_PD, "sigma": REF_SIGMA},
             free={

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 import dotkit as dk
+import mc_reference
+from dotkit.montecarlo import _bin_law
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA, mc_pair_factor, pair_factor
 
@@ -117,7 +119,7 @@ class TestSampleCoincidences:
     def test_resonant_pair_peak(self, resonant_pair, irf_100ps):
         grid = np.arange(-11, 11.001, 0.01)
         model = dk.G2Curve(grid, dk.g2_general(resonant_pair, grid))
-        hist = dk.sample_coincidences(model, 100_000, 10.0, irf_100ps, dk.RngSeed(6))
+        hist = dk.sample_coincidences(model, 10**9, 10.0, irf_100ps, dk.RngSeed(6))
         norm = dk.normalize_histogram(hist)
         peak = norm.values[np.argmin(np.abs(norm.delays))]
         assert 0.90 <= peak <= 1.00
@@ -126,7 +128,7 @@ class TestSampleCoincidences:
         # three-emitter bunching peak lands in the 1.1-1.3 band
         grid = np.arange(-11, 11.001, 0.01)
         model = dk.G2Curve(grid, dk.g2_general(resonant_trio, grid))
-        hist = dk.sample_coincidences(model, 100_000, 10.0, irf_100ps, dk.RngSeed(13))
+        hist = dk.sample_coincidences(model, 10**8, 10.0, irf_100ps, dk.RngSeed(13))
         norm = dk.normalize_histogram(hist)
         peak = norm.values[np.argmin(np.abs(norm.delays))]
         assert 1.1 <= peak <= 1.3
@@ -135,7 +137,7 @@ class TestSampleCoincidences:
         system = dk.identical_system(1, 1.9)
         grid = np.arange(-11, 11.001, 0.01)
         model = dk.G2Curve(grid, dk.g2_general(system, grid))
-        hist = dk.sample_coincidences(model, 100_000, 10.0, irf_100ps, dk.RngSeed(7))
+        hist = dk.sample_coincidences(model, 10**7, 10.0, irf_100ps, dk.RngSeed(7))
         norm = dk.normalize_histogram(hist)
         assert norm.values[np.argmin(np.abs(norm.delays))] <= 0.1
 
@@ -166,6 +168,61 @@ class TestSampleCoincidences:
             flat, 5_000, 2.0, irf_100ps, dk.RngSeed(9), normalization_window=(1.0, 2.0)
         )
         assert hist.counts.sum() == 5_000
+
+    def test_cost_does_not_grow_with_events(self, resonant_pair, irf_100ps):
+        # One multinomial draw: 1e12 events would need terabytes drawn one by one.
+        grid = np.arange(-11, 11.001, 0.01)
+        model = dk.G2Curve(grid, dk.g2_general(resonant_pair, grid))
+        hist = dk.sample_coincidences(model, 10**12, 10.0, irf_100ps, dk.RngSeed(12))
+        assert hist.counts.sum() == 10**12
+
+
+def _resonant_model(n):
+    """The model curves of the resonant 1-, 2- and 3-emitter tests above."""
+    if n == 1:
+        system = dk.identical_system(1, 1.9)
+    else:
+        system = dk.identical_system(n, {2: REF_GAMMA, 3: 1.4}[n], REF_GAMMA_PD, REF_SIGMA)
+    grid = np.arange(-11, 11.001, 0.01)
+    return dk.G2Curve(grid, dk.g2_general(system, grid))
+
+
+def _law_misses(p, q):
+    """Largest relative difference per bin between two bin laws."""
+    return np.abs(p / q - 1.0).max()
+
+
+class TestBinLaw:
+    """``_bin_law`` against the law of the event-by-event sampler it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_closed_form(self, n, irf_100ps):
+        model = _resonant_model(n)
+        edges, p = _bin_law(model, 10.0, irf_100ps, 0.02)
+        np.testing.assert_array_equal(edges, np.linspace(-10.0, 10.0, 1001))
+        exact = mc_reference.closed_form_law(model, 10.0, irf_100ps.sigma, edges)
+        assert _law_misses(p, exact) <= 1e-4
+
+    @pytest.mark.parametrize("mutant", ["jitter_10pct_wide", "half_bin_shift", "no_jitter"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_tells_mutants_apart(self, n, mutant, irf_100ps):
+        model = _resonant_model(n)
+        edges, p = _bin_law(model, 10.0, irf_100ps, 0.02)
+        sigma = {"jitter_10pct_wide": 1.1, "no_jitter": 1e-6}.get(mutant, 1.0) * irf_100ps.sigma
+        if mutant == "half_bin_shift":
+            model = dk.G2Curve(model.delays + 0.01, model.values)
+        assert _law_misses(p, mc_reference.closed_form_law(model, 10.0, sigma, edges)) > 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_event_sampler_follows_law(self, n, irf_100ps):
+        # Chi-square goodness of fit at a 1% false-alarm rate per model.
+        model = _resonant_model(n)
+        edges, p = _bin_law(model, 10.0, irf_100ps, 0.02)
+        n_events = 2_000_000
+        _, counts = mc_reference.event_histogram(model, n_events, 10.0, irf_100ps.sigma, 40 + n)
+        expected = n_events * p
+        statistic = ((counts - expected) ** 2 / expected).sum()
+        assert statistic <= chi2.ppf(0.99, p.size - 1)
 
 
 class TestNormalizeHistogram:

@@ -4,7 +4,8 @@ text file it writes reads back at 10 significant digits."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dotkit as dk
@@ -91,13 +92,23 @@ def test_curve_round_trip(tmp_path_factory, curve, header):
         np.testing.assert_array_equal(back.errors, at_10_digits(curve.errors))
 
 
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_curve_header_cannot_break_a_line(tmp_path, brk):
+    # read_curve splits lines with str.splitlines, so the writer must refuse
+    # every break it knows.
+    curve = dk.G2Curve([0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(dk.ParameterError):
+        dk.write_curve(tmp_path / "curve.tsv", curve, header=[f"n_real = 5{brk}note"])
+
+
 @st.composite
 def histograms(draw):
     width = draw(st.floats(1e-3, 1.0))
     n = draw(st.integers(2, 40))
-    # Edges within 540 widths of zero: at 10 digits the read-back width then
-    # stays inside read_histogram's 1e-6 uniformity tolerance.
-    edges = width * (draw(st.floats(-500.0, 500.0)) + np.arange(n + 1))
+    edges = width * (draw(st.floats(-1e5, 1e5)) + np.arange(n + 1))
     lo = draw(st.floats(0.0, 10.0))
     return dk.G2Histogram(
         bin_edges=edges,
@@ -111,6 +122,7 @@ def histograms(draw):
 
 
 @given(histogram=histograms())
+@example(histogram=dk.G2Histogram(10 + 0.00390625 * np.arange(5), [1, 2, 3, 4], (0.0, 1.0)))
 @settings(max_examples=100, deadline=None)
 def test_histogram_round_trip(tmp_path_factory, histogram):
     path = tmp_path_factory.mktemp("histogram") / "histogram.tsv"
