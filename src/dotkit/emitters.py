@@ -312,6 +312,14 @@ def gaussian_kernel(step: float, fwhm: float, n_sigma: float = 6.0) -> np.ndarra
     return kernel / kernel.sum()
 
 
+def _blur(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``values`` convolved with a unit-sum ``kernel`` of odd length, the ends
+    padded with the edge values so that a flat plateau is preserved exactly."""
+    half = kernel.size // 2
+    padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+    return np.convolve(padded, kernel, mode="valid")
+
+
 def convolve_irf(curve: G2Curve, irf: Irf) -> G2Curve:
     """Blur a model curve with the Gaussian timing response.
 
@@ -324,17 +332,7 @@ def convolve_irf(curve: G2Curve, irf: Irf) -> G2Curve:
             f"grid step {step:g} ns too coarse for IRF fwhm {irf.fwhm:g} ns "
             f"(need step <= fwhm/5)"
         )
-    kernel = gaussian_kernel(step, irf.fwhm)
-    half = kernel.size // 2
-    padded = np.concatenate(
-        [
-            np.full(half, curve.values[0]),
-            curve.values,
-            np.full(half, curve.values[-1]),
-        ]
-    )
-    blurred = np.convolve(padded, kernel, mode="valid")
-    return G2Curve(curve.delays.copy(), blurred)
+    return G2Curve(curve.delays.copy(), _blur(curve.values, gaussian_kernel(step, irf.fwhm)))
 
 
 def fwhm_from_sigma(sigma: float) -> float:

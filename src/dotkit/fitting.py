@@ -5,12 +5,13 @@ written here (``_fit_least_squares``), with standard errors from the
 Jacobian at the optimum. g2 fits, single or joint, minimize the
 error-weighted sum of squares between data and the forward model
 (convolved with the timing response) from the guess plus randomized
-restarts. Their Jacobian is scipy's 2-point forward difference, computed
-here curve by curve: a column re-evaluates only the curves its parameter
-moves, and a ``scale`` column none. A spectrum holding one line is fit as
-a pseudo-Voigt profile over a constant background, from one start on its
-tallest sample, with an analytic Jacobian; having no per-point errors, its
-covariance is scaled by the residual variance. Nothing here imports scipy.
+restarts. Their Jacobian is exact: a fit parameter acts on all emitters
+alike, so each column is a piece of the model times a power of the delay
+(``_g2_columns``), blurred and read at the data delays as the model is.
+A spectrum holding one line is fit as a pseudo-Voigt profile over a
+constant background, from one start on its tallest sample, with an
+analytic Jacobian; having no per-point errors, its covariance is scaled
+by the residual variance. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .emitters import (
+    HBAR_UEV_NS,
     EmitterSystem,
     G2Curve,
     Irf,
+    _blur,
     _format_table,
-    convolve_irf,
     g2_general,
+    gaussian_kernel,
     identical_system,
 )
 from .errors import DegenerateDataError, FitFailureError, ParameterError
@@ -112,27 +115,19 @@ class FitResult:
 
 
 def _build_system(spec: FitSpec, params: Mapping[str, float]) -> EmitterSystem:
-    def get(name, default=None):
-        if name in params:
-            return params[name]
-        return default
-
-    delta = get("delta_ueV", None)
     if spec.model == "ideal":
         return identical_system(
             n=int(spec.fixed["n"]),
-            gamma=get("gamma", 1.0),
-            gamma_pd=get("gamma_pd", 0.0),
-            sigma=get("sigma", 0.0),
-            spacing_uev=delta if delta is not None else 0.0,
+            gamma=params.get("gamma", 1.0),
+            gamma_pd=params.get("gamma_pd", 0.0),
+            sigma=params.get("sigma", 0.0),
+            spacing_uev=params.get("delta_ueV", 0.0),
         )
     base = spec.base_system
+    delta = params.get("delta_ueV")
+    updates = {name: params[name] for name in ("gamma", "gamma_pd", "sigma") if name in params}
     emitters = []
     for k, e in enumerate(base.emitters):
-        updates = {}
-        for name in ("gamma", "gamma_pd", "sigma"):
-            if name in params:
-                updates[name] = params[name]
         emitter = replace(e, **updates) if updates else e
         if delta is not None:
             emitter = emitter.shifted(base.reference_energy + k * delta - e.energy)
@@ -140,25 +135,74 @@ def _build_system(spec: FitSpec, params: Mapping[str, float]) -> EmitterSystem:
     return EmitterSystem(tuple(emitters), base.reference_energy)
 
 
-def evaluate_fit_model(spec: FitSpec, params: Mapping[str, float], delays) -> np.ndarray:
-    """Forward model at the given delays, IRF included when the spec has one."""
-    delays = np.asarray(delays, dtype=float)
-    system = _build_system(spec, params)
-    scale = params.get("scale", 1.0)
+def _model_grid(spec: FitSpec, delays: np.ndarray):
+    """Delays at which the model is evaluated, and the timing response's
+    kernel on their step (None without a response)."""
     if spec.irf is None:
-        return scale * g2_general(system, delays, spec.coherent)
+        return delays, None
     data_step = np.diff(delays).min() if delays.size >= 2 else spec.irf.fwhm / 8.0
     step = min(float(data_step), spec.irf.fwhm / 8.0)
     pad = 4.0 * spec.irf.fwhm
     grid = np.arange(delays[0] - pad, delays[-1] + pad + 0.5 * step, step)
-    curve = G2Curve(grid, g2_general(system, grid, spec.coherent))
-    blurred = convolve_irf(curve, spec.irf)
-    return scale * np.interp(delays, blurred.delays, blurred.values)
+    return grid, gaussian_kernel(step, spec.irf.fwhm)
+
+
+def _observe(values, grid, kernel, delays) -> np.ndarray:
+    """``values`` on the model grid as the data sees them: blurred, at ``delays``."""
+    if kernel is None:
+        return values
+    return np.interp(delays, grid, _blur(values, kernel))
+
+
+def evaluate_fit_model(spec: FitSpec, params: Mapping[str, float], delays) -> np.ndarray:
+    """Forward model at the given delays, IRF included when the spec has one."""
+    delays = np.asarray(delays, dtype=float)
+    grid, kernel = _model_grid(spec, delays)
+    shape = g2_general(_build_system(spec, params), grid, spec.coherent)
+    return params.get("scale", 1.0) * _observe(shape, grid, kernel, delays)
+
+
+def _g2_columns(system: EmitterSystem, t: np.ndarray, coherent: bool) -> dict[str, np.ndarray]:
+    """The g2 model's derivative by each fit parameter at delays ``t >= 0``,
+    keyed by name; ``scale`` maps to the unscaled model itself.
+
+    The model is 1 - decay + pair, with weights w_i = I_i / sum(I),
+    decay = sum w_i^2 exp(-gamma_i t), the amplitudes a_i of
+    :func:`g2_general`, the field F = sum w_i a_i and
+    pair = |F|^2 - sum w_i^2 |a_i|^2. A fit parameter moves every emitter
+    alike, so each derivative is a piece of the model times a factor of t:
+    d/dgamma_pd = -2 t pair, d/dsigma = -8 pi^2 sigma t^2 pair,
+    d/dgamma = t (decay - pair) and, emitter k sitting k delta above
+    emitter 0, d/ddelta = -(2 t / hbar) Im(conj(F) G) with the ladder sum
+    G = sum k w_k a_k.
+    """
+    weights = system.intensities / system.intensities.sum()
+    interfere = coherent and len(system) > 1
+    field, ladder = np.zeros((2,) + t.shape, dtype=complex)
+    decay, power = np.zeros((2,) + t.shape)
+    for k, (e, w) in enumerate(zip(system.emitters, weights)):
+        decay += w**2 * np.exp(-e.gamma * t)
+        if interfere:
+            magnitude = w * np.exp(-e.total_dephasing * t - 2.0 * math.pi**2 * e.sigma**2 * t**2)
+            power += magnitude**2
+            omega = (e.energy - system.emitters[0].energy) / HBAR_UEV_NS
+            amplitude = magnitude * np.exp(1j * omega * t) if omega else magnitude
+            field += amplitude
+            ladder += k * amplitude
+    pair = field.real**2 + field.imag**2 - power
+    return {
+        "gamma": t * (decay - pair),
+        "gamma_pd": -2.0 * t * pair,
+        # A free sigma is every emitter's sigma.
+        "sigma": -8.0 * math.pi**2 * system.emitters[0].sigma * t**2 * pair,
+        "delta_ueV": -2.0 * t / HBAR_UEV_NS * (field.conj() * ladder).imag,
+        "scale": 1.0 - decay + pair,
+    }
 
 
 def _check_fit_data(data: G2Curve, n_free: int) -> None:
-    if data.errors is None or np.any(data.errors <= 0):
-        raise ParameterError("fit data needs positive per-point errors")
+    if data.errors is None or not np.all(np.isfinite(data.errors) & (data.errors > 0)):
+        raise ParameterError("fit data needs finite, positive per-point errors")
     if np.ptp(data.values) == 0:
         raise DegenerateDataError("all data values are equal; nothing to fit")
     if data.values.size < 10 * max(n_free, 1):
@@ -292,86 +336,52 @@ def fit_g2(data: G2Curve, spec: FitSpec, rng=None) -> FitResult:
     return fit_g2_joint([data], [spec], shared=tuple(spec.free), rng=rng)
 
 
-# scipy's relative step for a 2-point difference of float64 functions.
-_ROOT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-def _forward_steps(x, lower, upper):
-    """The steps of scipy's 2-point Jacobian at ``x`` within the bounds.
-
-    A step is sqrt(eps) * max(1, |x|) in the direction of x's sign; one
-    that would leave the bounds is reversed, or, where neither direction
-    fits, runs to the farther bound.
-    """
-    h = _ROOT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    lower_dist, upper_dist = x - lower, upper - x
-    stepped = x + h
-    violated = (stepped < lower) | (stepped > upper)
-    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
-    h[violated & fitting] *= -1
-    forward = (upper_dist >= lower_dist) & ~fitting
-    h[forward] = upper_dist[forward]
-    backward = (upper_dist < lower_dist) & ~fitting
-    h[backward] = -lower_dist[backward]
-    return h
-
-
 class _CurveTerm:
-    """One curve's rows of a joint fit's residual vector.
+    """One curve's rows of a joint fit: its residuals and their Jacobian.
 
-    The model is evaluated at scale 1 and scaled afterwards; the last
-    unscaled model is kept, keyed on the curve's parameters other than
-    ``scale``, so a step that moves only ``scale`` costs no evaluation.
-    Jacobian steps pass ``remember=False``: the kept model stays the one at
-    the point being differentiated, which its ``scale`` column reuses.
+    ``columns`` maps each of the curve's free parameters to its column in
+    the joint parameter vector of ``width`` entries.
     """
 
-    def __init__(self, data: G2Curve, spec: FitSpec, columns: Mapping[str, int]):
-        self.data, self.spec, self.columns = data, spec, columns
-        self.scale_column = columns.get("scale")
-        self.shape_columns = [j for name, j in columns.items() if name != "scale"]
-        self.memo: tuple[bytes, np.ndarray] | None = None
+    def __init__(self, data: G2Curve, spec: FitSpec, columns: Mapping[str, int], width: int):
+        self.data, self.spec, self.columns, self.width = data, spec, columns, width
 
-    def shape(self, theta, remember: bool = True) -> np.ndarray:
-        key = theta[self.shape_columns].tobytes()
-        if self.memo is not None and self.memo[0] == key:
-            return self.memo[1]
+    def params(self, theta) -> dict[str, float]:
         params = dict(self.spec.fixed)
         params.update((name, theta[j]) for name, j in self.columns.items())
-        params["scale"] = 1.0
-        shape = evaluate_fit_model(self.spec, params, self.data.delays)
-        if remember:
-            self.memo = (key, shape)
-        return shape
+        return params
 
-    def residuals(self, theta, remember: bool = True) -> np.ndarray:
-        if self.scale_column is None:
-            scale = self.spec.fixed.get("scale", 1.0)
-        else:
-            scale = theta[self.scale_column]
-        return (self.data.values - scale * self.shape(theta, remember)) / self.data.errors
+    def residuals(self, theta) -> np.ndarray:
+        model = evaluate_fit_model(self.spec, self.params(theta), self.data.delays)
+        return (self.data.values - model) / self.data.errors
+
+    def jacobian(self, theta) -> np.ndarray:
+        params = self.params(theta)
+        grid, kernel = _model_grid(self.spec, self.data.delays)
+        columns = _g2_columns(_build_system(self.spec, params), np.abs(grid), self.spec.coherent)
+        scale = params.get("scale", 1.0)
+        rows = np.zeros((self.data.values.size, self.width))
+        for name, j in self.columns.items():
+            column = _observe(columns[name], grid, kernel, self.data.delays)
+            rows[:, j] = (-1.0 if name == "scale" else -scale) * column / self.data.errors
+        return rows
 
 
 def _joint_problem(datasets, specs, shared):
     """Free parameters, residuals and Jacobian of a joint fit.
 
-    The Jacobian is scipy's 2-point forward difference, bit for bit, but a
-    column re-evaluates only the curves whose parameters it moves; the
-    rows of the other curves are the zeros scipy would find.
+    The residuals evaluate each curve's model once; the Jacobian stacks each
+    curve's exact rows (:meth:`_CurveTerm.jacobian`), zero in the columns of
+    the parameters that do not move it.
     """
     if len(datasets) != len(specs) or not datasets:
         raise ParameterError("need one spec per data set")
     shared = list(shared)
     for name in shared:
-        bounds = None
-        for spec in specs:
-            if name not in spec.free:
-                raise ParameterError(f"shared parameter {name!r} not free in every spec")
-            lohi = spec.free[name][1:]
-            if bounds is None:
-                bounds = lohi
-            elif bounds != lohi:
-                raise ParameterError(f"shared parameter {name!r} has mismatched bounds")
+        if any(name not in spec.free for spec in specs):
+            raise ParameterError(f"shared parameter {name!r} not free in every spec")
+        if any(spec.free[name][1:] != specs[0].free[name][1:] for spec in specs):
+            raise ParameterError(f"shared parameter {name!r} has mismatched bounds")
     free: dict[str, tuple[float, float, float]] = {}
     for name in shared:
         free[name] = specs[0].free[name]
@@ -390,35 +400,15 @@ def _joint_problem(datasets, specs, shared):
 
     names = list(free)
     terms = [
-        _CurveTerm(data, spec, {local: names.index(q) for local, q in mapping.items()})
+        _CurveTerm(data, spec, {local: names.index(q) for local, q in mapping.items()}, len(names))
         for data, spec, mapping in zip(datasets, specs, slots)
-    ]
-    bounds = np.array([free[name][1:] for name in names]).T
-    ends = np.cumsum([data.values.size for data in datasets])
-    rows = [slice(end - data.values.size, end) for data, end in zip(datasets, ends)]
-    users = [
-        [k for k, term in enumerate(terms) if j in term.columns.values()]
-        for j in range(len(names))
     ]
 
     def residuals(theta):
         return np.concatenate([term.residuals(theta) for term in terms])
 
     def jacobian(theta):
-        # Built (parameters, rows) and transposed, as scipy lays it out.
-        base = [term.residuals(theta) for term in terms]
-        h = _forward_steps(theta, *bounds)
-        jac_t = np.empty((len(names), int(ends[-1])))
-        for j, curves in enumerate(users):
-            stepped = theta.copy()
-            stepped[j] = theta[j] + h[j]
-            dx = stepped[j] - theta[j]
-            # Curves the column does not move difference to zero, signed as 0/dx.
-            jac_t[j] = 0.0 / dx
-            for k in curves:
-                moved = terms[k].residuals(stepped, remember=False)
-                jac_t[j, rows[k]] = (moved - base[k]) / dx
-        return jac_t.T
+        return np.concatenate([term.jacobian(theta) for term in terms])
 
     return free, residuals, jacobian
 

@@ -549,6 +549,19 @@ class TestCmdFit:
         assert rows["residual_norm"] < 1e-6
 
 
+    @pytest.mark.parametrize("stderr", ["nan", "inf"])
+    def test_non_finite_error_named(self, tmp_path, capsys, stderr):
+        # One non-finite stderr is refused before the fit, naming the errors.
+        write_fit_curve(tmp_path / "curve.tsv")
+        lines = (tmp_path / "curve.tsv").read_text().splitlines()
+        lines[50] = lines[50].rsplit("\t", 1)[0] + "\t" + stderr
+        (tmp_path / "curve.tsv").write_text("\n".join(lines) + "\n")
+        path = write_yaml(tmp_path / "config.yaml", fit_config())
+        assert run_cli("fit", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:parameter: ") and "per-point errors" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "rows", ["0.0\t1.0\t0.1\n0.1\tx\t0.1\n", "0.0\t1.0\t0.1\n0.1\t1.0\n"]
     )
