@@ -238,11 +238,30 @@ class TestJointFit:
 
     def test_objective_evaluation_budget(self, monkeypatch):
         # A least-squares fit of these seven parameters needs a few hundred
-        # model evaluations at most, and a residual evaluation costs at most
-        # one model per curve: the Jacobian evaluates none.
+        # model evaluations at most.
         datasets, specs = self.benchmark_fit_inputs()
         calls = self.count_evaluations(monkeypatch)
-        residual_points = []
+        result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
+        assert result.converged
+        assert len(calls) <= 400
+
+    def test_jacobian_evaluates_only_moved_curves(self, monkeypatch):
+        # Of the seven columns, sigma moves all three curves and each gamma
+        # and scale one. The exact Jacobian computes every column of a curve
+        # in one pass, so a Jacobian costs three column passes and no model
+        # evaluation, where differencing the whole residual vector costs
+        # 7 x 3 = 21 model evaluations.
+        datasets, specs = self.benchmark_fit_inputs()
+        calls = self.count_evaluations(monkeypatch)
+        passes = []
+        columns = dk.fitting._g2_columns
+
+        def counting_columns(*args, **kwargs):
+            passes.append(1)
+            return columns(*args, **kwargs)
+
+        monkeypatch.setattr(dk.fitting, "_g2_columns", counting_columns)
+        per_jacobian, residual_points = [], []
         solve = dk.fitting._fit_least_squares
 
         def spying(residuals, free, n_restarts, gen, jac):
@@ -250,12 +269,20 @@ class TestJointFit:
                 residual_points.append(theta.copy())
                 return residuals(theta)
 
-            return solve(counted_residuals, free, n_restarts, gen, jac=jac)
+            def counted(theta):
+                before = (len(calls), len(passes))
+                matrix = jac(theta)
+                per_jacobian.append((len(calls) - before[0], len(passes) - before[1]))
+                return matrix
+
+            return solve(counted_residuals, free, n_restarts, gen, jac=counted)
 
         monkeypatch.setattr(dk.fitting, "_fit_least_squares", spying)
         result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
         assert result.converged
-        assert len(calls) <= 400
+        assert len(per_jacobian) == result.n_iterations
+        assert all(cost == (0, 3) for cost in per_jacobian)
+        # A residual evaluation costs at most one model per curve.
         assert len(calls) <= 3 * len(residual_points)
 
     def test_shared_name_must_be_free_everywhere(self):
