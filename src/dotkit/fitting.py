@@ -7,7 +7,8 @@ error-weighted sum of squares between data and the forward model
 (convolved with the timing response) from the guess plus randomized
 restarts. Their Jacobian is exact: a fit parameter acts on all emitters
 alike, so each column is a piece of the model times a power of the delay
-(``_g2_columns``), blurred and read at the data delays as the model is.
+(``_g2_columns``), blurred and read at the data delays as the model is;
+the same pass gives the model, so each solver point costs one pass per curve.
 A spectrum holding one line is fit as a pseudo-Voigt profile over a
 constant background, from one start on its tallest sample, with an
 analytic Jacobian; having no per-point errors, its covariance is scaled
@@ -100,8 +101,9 @@ class FitResult:
     """Best-fit parameters with standard errors from the fit's Jacobian.
 
     ``residual_norm`` is the chi-square at the optimum, ``n_iterations``
-    the number of Jacobian evaluations of the winning start, and
-    ``history`` its chi-square after every step it took, which never rises.
+    the number of points the winning start accepted, its start included
+    (``len(history) + 1``), and ``history`` its chi-square after every step
+    it took, which never rises.
     """
 
     estimates: dict[str, ParamEstimate]
@@ -115,15 +117,12 @@ class FitResult:
 
 
 def _build_system(spec: FitSpec, params: Mapping[str, float]) -> EmitterSystem:
+    """The emitters at ``params``. The ideal model's base is ``n`` emitters
+    of unit rate at one energy, so both models place emitter k at k delta."""
     if spec.model == "ideal":
-        return identical_system(
-            n=int(spec.fixed["n"]),
-            gamma=params.get("gamma", 1.0),
-            gamma_pd=params.get("gamma_pd", 0.0),
-            sigma=params.get("sigma", 0.0),
-            spacing_uev=params.get("delta_ueV", 0.0),
-        )
-    base = spec.base_system
+        base = identical_system(int(spec.fixed["n"]), 1.0)
+    else:
+        base = spec.base_system
     delta = params.get("delta_ueV")
     updates = {name: params[name] for name in ("gamma", "gamma_pd", "sigma") if name in params}
     emitters = []
@@ -205,10 +204,10 @@ def _check_fit_data(data: G2Curve, n_free: int) -> None:
         raise ParameterError("fit data needs finite, positive per-point errors")
     if np.ptp(data.values) == 0:
         raise DegenerateDataError("all data values are equal; nothing to fit")
-    if data.values.size < 10 * max(n_free, 1):
+    need = 10 * max(n_free, 1)
+    if data.values.size < need:
         raise ParameterError(
-            f"need >= {10 * n_free} points for {n_free} free parameters, "
-            f"got {data.values.size}"
+            f"need >= {need} points for {n_free} free parameters, got {data.values.size}"
         )
 
 
@@ -220,8 +219,9 @@ _MAX_NFEV_PER_PARAM = 100
 _DAMPING_START = 1e-3
 
 
-def _levenberg_marquardt(residuals, jac, x, lower, upper):
-    """One bounded Levenberg-Marquardt run from ``x``.
+def _levenberg_marquardt(evaluate, x, lower, upper):
+    """One bounded Levenberg-Marquardt run from ``x``, ``evaluate`` returning
+    the residuals and their Jacobian at a point.
 
     Each step solves (J^T J + damping D^2) p = -J^T f over the free
     parameters, with D the largest column norms of J met so far (Moré,
@@ -236,13 +236,14 @@ def _levenberg_marquardt(residuals, jac, x, lower, upper):
     free gradient under ``_GTOL`` in cosine (Moré's form), or the
     evaluation budget spent.
 
-    Returns x, the Jacobian there, the chi-square, the Jacobian count, the
-    chi-square after each taken step, and whether a stopping rule was met.
+    Every evaluation yields the Jacobian too, as nearly every point
+    evaluated is a step taken; a rejected trial step discards its Jacobian.
+    Returns x, the Jacobian there, the chi-square, the chi-square after
+    each taken step, and whether a stopping rule was met.
     """
-    f = residuals(x)
+    f, jacobian = evaluate(x)
     chi2 = float(f @ f)
-    jacobian = jac(x)
-    n_fev, n_jev, max_fev = 1, 1, _MAX_NFEV_PER_PARAM * x.size
+    n_fev, max_fev = 1, _MAX_NFEV_PER_PARAM * x.size
     history: list[float] = []
     scale = None
     damping, growth = _DAMPING_START, 2.0
@@ -267,7 +268,7 @@ def _levenberg_marquardt(residuals, jac, x, lower, upper):
             )
             trial = np.clip(x + step, lower, upper)
             step = trial - x
-            f_trial = residuals(trial)
+            f_trial, jacobian_trial = evaluate(trial)
             n_fev += 1
             chi2_trial = float(f_trial @ f_trial)
             decrease = chi2 - chi2_trial
@@ -278,9 +279,7 @@ def _levenberg_marquardt(residuals, jac, x, lower, upper):
                 or np.linalg.norm(step) < _XTOL * (_XTOL + np.linalg.norm(x))
             )
             if decrease > 0:
-                x, f, chi2 = trial, f_trial, chi2_trial
-                jacobian = jac(x)
-                n_jev += 1
+                x, f, chi2, jacobian = trial, f_trial, chi2_trial, jacobian_trial
                 history.append(chi2)
                 damping *= max(0.1, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 growth = 2.0
@@ -290,17 +289,17 @@ def _levenberg_marquardt(residuals, jac, x, lower, upper):
                 growth *= 2.0
         if converged or not taken:  # not taken: the evaluation budget is spent
             break
-    return x, jacobian, chi2, n_jev, history, converged
+    return x, jacobian, chi2, history, converged
 
 
-def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
+def _fit_least_squares(evaluate, free, n_restarts, gen) -> FitResult:
     """Minimize the error-weighted residuals from the guess plus random starts.
 
-    Each start runs :func:`_levenberg_marquardt`, with ``jac`` returning the
-    residuals' Jacobian; the start with the lowest chi-square wins. Its final
-    Jacobian J gives the covariance (J^T J)^-1, the Gauss-Newton inverse of
-    half the chi-square Hessian. ``gen`` draws the random starts and may be
-    None when ``n_restarts`` is 1.
+    Each start runs :func:`_levenberg_marquardt` on ``evaluate``, which
+    returns the residuals and their Jacobian at a point; the start with the
+    lowest chi-square wins. Its final Jacobian J gives the covariance
+    (J^T J)^-1, the Gauss-Newton inverse of half the chi-square Hessian.
+    ``gen`` draws the random starts and may be None when ``n_restarts`` is 1.
     """
     names = list(free)
     guesses = np.array([free[name][0] for name in names], dtype=float)
@@ -309,8 +308,8 @@ def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
     starts = [guesses]
     for _ in range(n_restarts - 1):
         starts.append(lower + gen.uniform(size=len(names)) * (upper - lower))
-    runs = [_levenberg_marquardt(residuals, jac, start, lower, upper) for start in starts]
-    x, jacobian, chi2, n_jev, history, converged = min(runs, key=lambda run: run[2])
+    runs = [_levenberg_marquardt(evaluate, start, lower, upper) for start in starts]
+    x, jacobian, chi2, history, converged = min(runs, key=lambda run: run[2])
     stderr = np.sqrt(np.maximum(np.diag(np.linalg.pinv(jacobian.T @ jacobian)), 0.0))
     edge = 1e-9 + 1e-6 * (upper - lower)
     estimates = {
@@ -324,7 +323,7 @@ def _fit_least_squares(residuals, free, n_restarts, gen, jac) -> FitResult:
     return FitResult(
         estimates=estimates,
         residual_norm=chi2,
-        n_iterations=n_jev,
+        n_iterations=len(history) + 1,
         converged=converged,
         history=tuple(history),
     )
@@ -340,39 +339,36 @@ class _CurveTerm:
     """One curve's rows of a joint fit: its residuals and their Jacobian.
 
     ``columns`` maps each of the curve's free parameters to its column in
-    the joint parameter vector of ``width`` entries.
+    the joint parameter vector of ``width`` entries. The model grid and
+    timing kernel are made once, as the curve's delays never change.
     """
 
     def __init__(self, data: G2Curve, spec: FitSpec, columns: Mapping[str, int], width: int):
         self.data, self.spec, self.columns, self.width = data, spec, columns, width
+        self.grid, self.kernel = _model_grid(spec, data.delays)
 
-    def params(self, theta) -> dict[str, float]:
+    def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals and Jacobian rows at ``theta`` from one column pass,
+        whose ``scale`` column is the unscaled model."""
         params = dict(self.spec.fixed)
         params.update((name, theta[j]) for name, j in self.columns.items())
-        return params
-
-    def residuals(self, theta) -> np.ndarray:
-        model = evaluate_fit_model(self.spec, self.params(theta), self.data.delays)
-        return (self.data.values - model) / self.data.errors
-
-    def jacobian(self, theta) -> np.ndarray:
-        params = self.params(theta)
-        grid, kernel = _model_grid(self.spec, self.data.delays)
-        columns = _g2_columns(_build_system(self.spec, params), np.abs(grid), self.spec.coherent)
-        scale = params.get("scale", 1.0)
-        rows = np.zeros((self.data.values.size, self.width))
+        system = _build_system(self.spec, params)
+        columns = _g2_columns(system, np.abs(self.grid), self.spec.coherent)
+        data, scale = self.data, params.get("scale", 1.0)
+        observed = {
+            name: _observe(columns[name], self.grid, self.kernel, data.delays)
+            for name in {"scale", *self.columns}
+        }
+        rows = np.zeros((data.values.size, self.width))
         for name, j in self.columns.items():
-            column = _observe(columns[name], grid, kernel, self.data.delays)
-            rows[:, j] = (-1.0 if name == "scale" else -scale) * column / self.data.errors
-        return rows
+            rows[:, j] = (-1.0 if name == "scale" else -scale) * observed[name] / data.errors
+        return (data.values - scale * observed["scale"]) / data.errors, rows
 
 
 def _joint_problem(datasets, specs, shared):
-    """Free parameters, residuals and Jacobian of a joint fit.
-
-    The residuals evaluate each curve's model once; the Jacobian stacks each
-    curve's exact rows (:meth:`_CurveTerm.jacobian`), zero in the columns of
-    the parameters that do not move it.
+    """Free parameters of a joint fit, and ``evaluate(theta)``, its residuals
+    and Jacobian: each curve's rows (:meth:`_CurveTerm.evaluate`) stacked,
+    zero in the columns of the parameters that do not move the curve.
     """
     if len(datasets) != len(specs) or not datasets:
         raise ParameterError("need one spec per data set")
@@ -404,13 +400,11 @@ def _joint_problem(datasets, specs, shared):
         for data, spec, mapping in zip(datasets, specs, slots)
     ]
 
-    def residuals(theta):
-        return np.concatenate([term.residuals(theta) for term in terms])
+    def evaluate(theta):
+        residuals, rows = zip(*(term.evaluate(theta) for term in terms))
+        return np.concatenate(residuals), np.concatenate(rows)
 
-    def jacobian(theta):
-        return np.concatenate([term.jacobian(theta) for term in terms])
-
-    return free, residuals, jacobian
+    return free, evaluate
 
 
 def fit_g2_joint(
@@ -426,10 +420,10 @@ def fit_g2_joint(
     free parameters are per curve and reported as ``curve<k>.<name>``.
     Non-convergence returns converged=False with the best point found.
     """
-    free, residuals, jacobian = _joint_problem(datasets, specs, shared)
+    free, evaluate = _joint_problem(datasets, specs, shared)
     gen = as_generator(rng if rng is not None else 0)
     n_restarts = max(spec.n_restarts for spec in specs)
-    return _fit_least_squares(residuals, free, n_restarts, gen, jac=jacobian)
+    return _fit_least_squares(evaluate, free, n_restarts, gen)
 
 
 def joint_curve_params(result: FitResult, specs: Sequence[FitSpec]) -> list[dict[str, float]]:
@@ -553,24 +547,12 @@ def fit_spectrum_peaks(spectrum: Spectrum, instrument_fwhm: float | None = None)
     origin = 0.5 * (spectrum.energies[0] + spectrum.energies[-1])
     x, y = spectrum.energies - origin, spectrum.intensities
     free = _peak_start(x, y, instrument_fwhm)
-    # The solver asks for the Jacobian at the point whose residuals it just
-    # computed; keep the last evaluation so each point costs one model call.
-    last = {}
 
     def evaluate(theta):
-        key = theta.tobytes()
-        if last.get("key") != key:
-            last["key"] = key
-            last["model"], last["jac"] = _peak_model(theta, x)
-        return last
+        model, jacobian = _peak_model(theta, x)
+        return model - y, jacobian
 
-    result = _fit_least_squares(
-        lambda theta: evaluate(theta)["model"] - y,
-        free,
-        n_restarts=1,
-        gen=None,
-        jac=lambda theta: evaluate(theta)["jac"],
-    )
+    result = _fit_least_squares(evaluate, free, n_restarts=1, gen=None)
     if not result.converged:
         raise FitFailureError("peak fit did not converge")
     variance_scale = math.sqrt(result.residual_norm / max(x.size - len(free), 1))

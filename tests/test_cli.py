@@ -562,6 +562,21 @@ class TestCmdFit:
         assert err.startswith("error:parameter: ") and "per-point errors" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_free", [0, 1])
+    def test_too_few_points_states_the_count_checked(self, tmp_path, capsys, n_free):
+        # A curve is checked against 10 points per free parameter, and 10
+        # points when none is free; the message states that count.
+        tau = np.linspace(-1.0, 1.0, 5)
+        curve = dk.G2Curve(tau, 1.0 - 0.5 * np.exp(-np.abs(tau)), np.full(tau.size, 0.01))
+        dk.write_curve(tmp_path / "curve.tsv", curve)
+        config = fit_config()
+        if not n_free:
+            config["fit"]["curves"][0]["free"] = {}
+        path = write_yaml(tmp_path / "config.yaml", config)
+        assert run_cli("fit", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"need >= 10 points for {n_free} free parameters, got 5" in err
+
     @pytest.mark.parametrize(
         "rows", ["0.0\t1.0\t0.1\n0.1\tx\t0.1\n", "0.0\t1.0\t0.1\n0.1\t1.0\n"]
     )

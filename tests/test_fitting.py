@@ -225,65 +225,54 @@ class TestJointFit:
         return datasets, specs
 
     @staticmethod
-    def count_evaluations(monkeypatch):
+    def count_calls(monkeypatch, *names):
+        """Count calls of the named ``dotkit.fitting`` functions, together."""
         calls = []
-        evaluate = dk.fitting.evaluate_fit_model
+        for name in names:
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return evaluate(*args, **kwargs)
+            def counting(*args, function=getattr(dk.fitting, name), **kwargs):
+                calls.append(1)
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(dk.fitting, "evaluate_fit_model", counting)
+            monkeypatch.setattr(dk.fitting, name, counting)
         return calls
 
     def test_objective_evaluation_budget(self, monkeypatch):
         # A least-squares fit of these seven parameters needs a few hundred
-        # model evaluations at most.
+        # model evaluations at most, each one column pass per curve.
         datasets, specs = self.benchmark_fit_inputs()
-        calls = self.count_evaluations(monkeypatch)
+        passes = self.count_calls(monkeypatch, "_g2_columns")
         result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
         assert result.converged
-        assert len(calls) <= 400
+        assert len(passes) <= 400
 
     def test_jacobian_evaluates_only_moved_curves(self, monkeypatch):
         # Of the seven columns, sigma moves all three curves and each gamma
-        # and scale one. The exact Jacobian computes every column of a curve
-        # in one pass, so a Jacobian costs three column passes and no model
-        # evaluation, where differencing the whole residual vector costs
-        # 7 x 3 = 21 model evaluations.
+        # and scale one. One solver evaluation gives the residuals and every
+        # column of a curve from one pass, so it costs three column passes
+        # and no model evaluation, where differencing the whole residual
+        # vector costs 7 x 3 = 21 model evaluations.
         datasets, specs = self.benchmark_fit_inputs()
-        calls = self.count_evaluations(monkeypatch)
-        passes = []
-        columns = dk.fitting._g2_columns
-
-        def counting_columns(*args, **kwargs):
-            passes.append(1)
-            return columns(*args, **kwargs)
-
-        monkeypatch.setattr(dk.fitting, "_g2_columns", counting_columns)
-        per_jacobian, residual_points = [], []
+        models = self.count_calls(monkeypatch, "evaluate_fit_model", "g2_general")
+        passes = self.count_calls(monkeypatch, "_g2_columns")
+        costs = []
         solve = dk.fitting._fit_least_squares
 
-        def spying(residuals, free, n_restarts, gen, jac):
-            def counted_residuals(theta):
-                residual_points.append(theta.copy())
-                return residuals(theta)
-
+        def spying(evaluate, free, n_restarts, gen):
             def counted(theta):
-                before = (len(calls), len(passes))
-                matrix = jac(theta)
-                per_jacobian.append((len(calls) - before[0], len(passes) - before[1]))
-                return matrix
+                before = (len(models), len(passes))
+                out = evaluate(theta)
+                costs.append((len(models) - before[0], len(passes) - before[1]))
+                return out
 
-            return solve(counted_residuals, free, n_restarts, gen, jac=counted)
+            return solve(counted, free, n_restarts, gen)
 
         monkeypatch.setattr(dk.fitting, "_fit_least_squares", spying)
         result = dk.fit_g2_joint(datasets, specs, shared=("sigma",), rng=dk.RngSeed(6))
         assert result.converged
-        assert len(per_jacobian) == result.n_iterations
-        assert all(cost == (0, 3) for cost in per_jacobian)
-        # A residual evaluation costs at most one model per curve.
-        assert len(calls) <= 3 * len(residual_points)
+        assert result.n_iterations == len(result.history) + 1
+        assert len(costs) >= result.n_iterations
+        assert all(cost == (0, 3) for cost in costs)
 
     def test_shared_name_must_be_free_everywhere(self):
         datasets = [synthetic_curve(2, 2.0, seed=7102, n_events=20_000)] * 2
@@ -316,7 +305,8 @@ JAC_TAU = np.linspace(-2.0, 2.0, 61)
 def build_joint_problem(model, coherent, irf, shared, own, seed):
     """A joint fit of ``len(own)`` curves, curve k of k + 1 emitters, freeing
     the ``shared`` parameters and ``own[k]`` on curve k. A "general" curve's
-    base emitters differ in energy, rates and intensity."""
+    base emitters differ in energy, rates and intensity. Returns the data
+    sets, the specs, and the free parameters and ``evaluate`` of the fit."""
     gen = np.random.default_rng(seed)
     datasets, specs = [], []
     for k, names in enumerate(own):
@@ -346,7 +336,7 @@ def build_joint_problem(model, coherent, irf, shared, own, seed):
         errors = 0.02 + 0.01 * gen.uniform(size=JAC_TAU.size)
         datasets.append(dk.G2Curve(JAC_TAU, values, errors))
         specs.append(spec)
-    return _joint_problem(datasets, specs, shared)
+    return (datasets, specs, *_joint_problem(datasets, specs, shared))
 
 
 @st.composite
@@ -361,7 +351,7 @@ def joint_problems(draw):
         draw(st.lists(st.sampled_from(others), unique=True, min_size=0 if shared else 1))
         for _ in range(n_curves)
     ]
-    free, residuals, jacobian = build_joint_problem(
+    problem = build_joint_problem(
         draw(st.sampled_from(["ideal", "general"])),
         draw(st.booleans()),
         draw(st.sampled_from([None, IRF])),
@@ -369,8 +359,9 @@ def joint_problems(draw):
         own,
         draw(st.integers(0, 2**32 - 1)),
     )
+    free = problem[2]
     theta = [lo + draw(st.floats(1e-3, 1.0)) * (hi - lo) for _, lo, hi in free.values()]
-    return residuals, jacobian, np.array(theta)
+    return problem, np.array(theta)
 
 
 def central_difference(residuals, theta, h=1e-3):
@@ -385,21 +376,43 @@ def central_difference(residuals, theta, h=1e-3):
     return np.array(columns).T
 
 
-def jacobian_matches(residuals, jacobian, theta):
-    """Whether the Jacobian equals a central difference of the residuals
-    within 1e-6 of each column's largest entry; a column the residuals do
-    not depend on must be exactly zero."""
-    expected = central_difference(residuals, theta)
-    got = jacobian(theta)
+def jacobian_matches(evaluate, theta):
+    """Whether ``evaluate``'s Jacobian equals a central difference of its
+    residuals within 1e-6 of each column's largest entry; a column the
+    residuals do not depend on must be exactly zero."""
+    expected = central_difference(lambda x: evaluate(x)[0], theta)
+    got = evaluate(theta)[1]
     assert got.shape == expected.shape
     return bool(np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected).max(axis=0)))
+
+
+def model_matches(datasets, specs, free, evaluate, theta):
+    """Whether the model behind ``evaluate``'s residuals equals the public
+    :func:`dotkit.evaluate_fit_model` within 1e-12."""
+    estimates = {name: dk.ParamEstimate(value, 0.0) for name, value in zip(free, theta)}
+    params = dk.joint_curve_params(dk.FitResult(estimates, 0.0, 1, True), specs)
+    residuals = np.split(evaluate(theta)[0], np.cumsum([d.values.size for d in datasets])[:-1])
+    return all(
+        np.all(np.abs(d.values - r * d.errors - dk.evaluate_fit_model(s, p, d.delays)) <= 1e-12)
+        for d, s, p, r in zip(datasets, specs, params, residuals)
+    )
 
 
 class TestJointJacobian:
     @settings(max_examples=100, deadline=None)
     @given(joint_problems())
-    def test_matches_central_difference(self, problem):
-        assert jacobian_matches(*problem)
+    def test_matches_central_difference(self, case):
+        (_, _, _, evaluate), theta = case
+        assert jacobian_matches(evaluate, theta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(joint_problems())
+    def test_model_matches_evaluate_fit_model(self, case):
+        # Only this ties the solver's model, the scale column of
+        # fitting._g2_columns, to the g2_general kernel that the public
+        # model evaluates.
+        problem, theta = case
+        assert model_matches(*problem, theta)
 
     @pytest.mark.parametrize(
         "name, factor", [(None, 1.0), ("gamma_pd", 0.5), ("delta_ueV", -1.0), ("sigma", 0.5)]
@@ -416,11 +429,31 @@ class TestJointJacobian:
             return out
 
         monkeypatch.setattr(dk.fitting, "_g2_columns", mutant)
-        free, residuals, jacobian = build_joint_problem(
+        _, _, free, evaluate = build_joint_problem(
             "general", True, IRF, ["gamma_pd", "sigma", "delta_ueV"], [["gamma"], ["scale"]], 3
         )
         theta = np.array([0.5 * (lo + hi) for _, lo, hi in free.values()])
-        assert jacobian_matches(residuals, jacobian, theta) == (name is None)
+        assert jacobian_matches(evaluate, theta) == (name is None)
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_wrong_model_fails(self, monkeypatch, flipped):
+        # The model with its pair term's sign flipped, 1 - decay - pair,
+        # fails the comparison with the public model; the true one passes.
+        columns = dk.fitting._g2_columns
+
+        def mutant(system, t, coherent):
+            out = columns(system, t, coherent)
+            if flipped:
+                incoherent = columns(system, t, False)["scale"]
+                out["scale"] = 2.0 * incoherent - out["scale"]
+            return out
+
+        monkeypatch.setattr(dk.fitting, "_g2_columns", mutant)
+        datasets, specs, free, evaluate = build_joint_problem(
+            "general", True, IRF, ["gamma_pd", "sigma", "delta_ueV"], [["gamma"], ["scale"]], 3
+        )
+        theta = np.array([0.5 * (lo + hi) for _, lo, hi in free.values()])
+        assert model_matches(datasets, specs, free, evaluate, theta) == (not flipped)
 
 
 class TestSpectrumPeaks:
@@ -585,7 +618,7 @@ class TestSolverOracle:
             f"x{i}": (lo + gen.uniform() * (hi - lo), lo, hi)
             for i, (lo, hi) in enumerate(zip(lower, upper))
         }
-        result = _fit_least_squares(lambda x: a @ x - b, free, 1, None, jac=lambda x: a)
+        result = _fit_least_squares(lambda x: (a @ x - b, a), free, 1, None)
         x = np.array([est.value for est in result.estimates.values()])
         chi2 = float(np.sum((a @ reference.x - b) ** 2))
         assert result.converged
@@ -596,10 +629,15 @@ class TestSolverOracle:
         assert at_bound == list(reference.active_mask != 0)
 
     @staticmethod
-    def scipy_trf(residuals, free, jac):
+    def scipy_trf(evaluate, free):
         start, lower, upper = (np.array(column) for column in zip(*free.values()))
         return scipy.optimize.least_squares(
-            residuals, start, jac=jac, bounds=(lower, upper), method="trf", x_scale="jac"
+            lambda x: evaluate(x)[0],
+            start,
+            jac=lambda x: evaluate(x)[1],
+            bounds=(lower, upper),
+            method="trf",
+            x_scale="jac",
         )
 
     def test_fit_workload_against_trf(self):
@@ -609,9 +647,9 @@ class TestSolverOracle:
         seeds = np.random.default_rng(1).integers(0, 2**31, size=8 * 4).tolist()
         for k in range(8):
             datasets, specs = TestJointFit.benchmark_fit_inputs(seeds[4 * k : 4 * k + 3])
-            free, residuals, jacobian = _joint_problem(datasets, specs, ("sigma",))
-            result = _fit_least_squares(residuals, free, 1, None, jac=jacobian)
-            reference = self.scipy_trf(residuals, free, jacobian)
+            free, evaluate = _joint_problem(datasets, specs, ("sigma",))
+            result = _fit_least_squares(evaluate, free, 1, None)
+            reference = self.scipy_trf(evaluate, free)
             assert result.converged and reference.success
             assert result.residual_norm <= 2.0 * reference.cost * (1.0 + 1e-8)
             for est, value in zip(result.estimates.values(), reference.x):
@@ -632,14 +670,12 @@ class TestSolverOracle:
             y = spectrum.intensities
             free = _peak_start(x, y, meter.instrument.resolution_fwhm)
 
-            def residuals(theta):
-                return _peak_model(theta, x)[0] - y
+            def evaluate(theta):
+                model, jacobian = _peak_model(theta, x)
+                return model - y, jacobian
 
-            def jac(theta):
-                return _peak_model(theta, x)[1]
-
-            result = _fit_least_squares(residuals, free, 1, None, jac=jac)
-            reference = self.scipy_trf(residuals, free, jac)
+            result = _fit_least_squares(evaluate, free, 1, None)
+            reference = self.scipy_trf(evaluate, free)
             assert result.converged and reference.success
             assert result.residual_norm <= 2.0 * reference.cost * (1.0 + 1e-8)
             assert result.estimates["center"].value == pytest.approx(reference.x[2], abs=1e-5)
