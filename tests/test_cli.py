@@ -283,7 +283,8 @@ class TestCmdModel:
         np.testing.assert_allclose([float(row[2]) for row in rows], blurred, rtol=0, atol=1e-9)
 
 
-HEAVY_SCIPY = ("scipy.optimize", "scipy.signal", "scipy.stats", "scipy.special", "scipy.linalg")
+# Plain "scipy" is loaded by any import of scipy, so probing it checks them all.
+SCIPY = ("scipy", "scipy.optimize", "scipy.signal", "scipy.stats", "scipy.special", "scipy.linalg")
 # Imports dotkit.cli, runs main on the argv given as JSON (none: import only),
 # then prints which of the modules given as JSON are loaded.
 IMPORT_PROBE = """
@@ -297,7 +298,7 @@ print(json.dumps([name for name in json.loads(sys.argv[2]) if name in sys.module
 
 
 class TestImportMap:
-    """Each subcommand loads only the scipy submodules it calls (fresh interpreters)."""
+    """No subcommand loads any scipy module (fresh interpreters)."""
 
     @staticmethod
     def loaded(*argv):
@@ -305,7 +306,7 @@ class TestImportMap:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv), json.dumps(HEAVY_SCIPY)],
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv), json.dumps(SCIPY)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -328,12 +329,11 @@ class TestImportMap:
         path = write_yaml(tmp_path / "config.yaml", fit_config())
         assert self.loaded("fit", "--config", path, "--out", str(tmp_path / "out")) == set()
 
-    def test_tune_loads_only_special(self, tmp_path):
-        # synth_spectrum's voigt_profile; the peak fits need no scipy.
+    def test_tune_loads_none(self, tmp_path):
+        # synth_spectrum's Voigt line and the peak fits are numpy only.
         path = write_yaml(tmp_path / "tune.yaml", TestCmdTune().tune_config())
         out = str(tmp_path / "out")
-        loaded = self.loaded("tune", "--config", path, "--seed", "9", "--out", out)
-        assert loaded == {"scipy.special"}
+        assert self.loaded("tune", "--config", path, "--seed", "9", "--out", out) == set()
 
 class TestBuildGrid:
     @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])

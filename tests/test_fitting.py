@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.signal
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dotkit as dk
 from dotkit.fitting import (
     G2_PARAM_NAMES,
+    _fifth_percentile,
     _fit_least_squares,
     _joint_problem,
     _peak_model,
@@ -689,6 +691,10 @@ def scipy_maxima(y, floor, distance):
     return tallest, scipy.signal.peak_widths(y, [tallest], rel_height=0.5)[0][0]
 
 
+def bits(value):
+    return np.float64(value).tobytes()
+
+
 class TestPeakSeeder:
     """The numpy seeder picks the sample and width scipy.signal does, bit for bit."""
 
@@ -709,6 +715,22 @@ class TestPeakSeeder:
         for spectrum in scans:
             y = spectrum.intensities
             assert _tallest_line(y) == scipy_maxima(y, 0.05 * np.ptp(y), 4)
+            assert bits(_fifth_percentile(y)) == bits(np.percentile(y, 5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=hnp.arrays(
+            float,
+            st.integers(2, 7000),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(y=np.array([-1e308] * 2 + [1e308] * 19))  # inf * 0 at an exact index
+    def test_background_is_numpys_fifth_percentile(self, y):
+        # The background start is np.percentile(y, 5) to the bit, signed
+        # zeros and overflowing differences included.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(_fifth_percentile(y)) == bits(np.percentile(y, 5))
 
     @settings(max_examples=300, deadline=None)
     @given(y=st.lists(st.integers(-3, 3), min_size=3, max_size=40))

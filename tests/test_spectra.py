@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import voigt_profile
 
 import dotkit as dk
-from dotkit.spectra import line_fwhm, lorentzian_fwhm
+from dotkit import spectra
+from dotkit.spectra import _voigt, _weideman_series, line_fwhm, lorentzian_fwhm
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA
 
@@ -120,6 +124,56 @@ class TestSynthSpectrum:
         assert np.all(a.intensities >= 0)
 
 
+# Gaussian sigma and Lorentzian HWHM (ueV) that synth_spectrum meets: emitter
+# diffusion in quadrature with a 2.4 ueV Fabry-Perot or a 50 ueV grating
+# (sigma 1.02 and 21.2 ueV), and linewidths from near-lifetime-limited up.
+VOIGT_SIGMA = (0.5, 42.5)
+VOIGT_HWHM = (0.01, 20.0)
+# Offsets out to 6 meV: before/after spectra hold lines up to 5 meV apart,
+# so each line is also evaluated in the far tails, under its neighbours.
+VOIGT_OFFSETS = np.linspace(-6000.0, 6000.0, 24001)
+# Largest allowed |_voigt - scipy's voigt_profile|, relative to the peak.
+VOIGT_TOLERANCE = 1e-13
+
+
+def voigt_error(sigma, hwhm, shift=0.0):
+    x = VOIGT_OFFSETS + shift
+    reference = voigt_profile(x, sigma, hwhm)
+    return np.max(np.abs(_voigt(x, sigma, hwhm) - reference)) / voigt_profile(0.0, sigma, hwhm)
+
+
+class TestVoigt:
+    """The numpy Weideman series against scipy's Voigt profile."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sigma=st.floats(*VOIGT_SIGMA),
+        hwhm=st.floats(*VOIGT_HWHM),
+        shift=st.floats(0.0, 0.5),
+    )
+    def test_matches_scipy(self, sigma, hwhm, shift):
+        assert voigt_error(sigma, hwhm, shift) <= VOIGT_TOLERANCE
+
+    @pytest.mark.parametrize("sigma, hwhm", [(4.26, 2.11), (1.02, 0.01), (42.5, 20.0)])
+    def test_catches_a_24_term_series(self, monkeypatch, sigma, hwhm):
+        # Weideman's series with 24 terms is off by ~1e-11 of the peak; the
+        # tolerance above must tell it from the 32-term one.
+        scale, coeffs = _weideman_series(24)
+        monkeypatch.setattr(spectra, "_WEIDEMAN_L", scale)
+        monkeypatch.setattr(spectra, "_WEIDEMAN_COEFFS", coeffs)
+        assert voigt_error(sigma, hwhm) > 10 * VOIGT_TOLERANCE
+
+    @pytest.mark.parametrize("sigma, hwhm", [(0.5, 0.01), (4.26, 2.11), (42.5, 20.0)])
+    def test_unit_area(self, sigma, hwhm):
+        # Trapezoid sum on +-X = +-30 meV plus the tails beyond: the
+        # Lorentzian's (2/pi) arctan(hwhm / X), and (2/pi) hwhm sigma^2 / X^3
+        # from its Gaussian blur; what is left is O(X^-5).
+        x, step = np.linspace(-30_000.0, 30_000.0, 240_001, retstep=True)
+        tails = 2.0 / np.pi * (np.arctan(hwhm / x[-1]) + hwhm * sigma**2 / x[-1] ** 3)
+        area = np.trapezoid(_voigt(x, sigma, hwhm), dx=step) + tails
+        assert area == pytest.approx(1.0, abs=1e-13)
+
+
 class TestSampleEnsemble:
     def test_chance_resonance_is_negligible(self):
         # Among 20 draws from the inhomogeneous line, almost no pair falls
@@ -145,3 +199,22 @@ class TestSpectrumIo:
         np.testing.assert_allclose(back.energies, spectrum.energies)
         np.testing.assert_allclose(back.intensities, spectrum.intensities, rtol=1e-9)
         assert back.instrument == spectrum.instrument
+
+
+class TestNonFinite:
+    """A spectrum is finite, so no fit sees a NaN or an infinity."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["energies", "intensities"])
+    def test_rejected_naming_the_column(self, bad, column):
+        columns = {"energies": np.arange(0.0, 60.0, 0.5), "intensities": np.ones(120)}
+        columns[column][7] = bad
+        with pytest.raises(dk.ParameterError, match=f"^{column} must be finite"):
+            dk.Spectrum(columns["energies"], columns["intensities"], dk.Instrument.fabry_perot())
+
+    def test_read_spectrum_rejects_nan(self, tmp_path):
+        path = tmp_path / "spec.tsv"
+        rows = "".join(f"{0.5 * k:g}\t{'nan' if k == 3 else 1.0}\n" for k in range(40))
+        path.write_text("# instrument = fabry_perot\n# resolution_fwhm_ueV = 2.4\n" + rows)
+        with pytest.raises(dk.ParameterError, match="spec.tsv: intensities must be finite"):
+            dk.read_spectrum(path)
