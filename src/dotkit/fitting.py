@@ -454,6 +454,10 @@ class PeakFit:
     amplitude: float
 
 
+# background, eta, center, fwhm, height: the free parameters of a line fit.
+_PEAK_PARAMETERS = 5
+
+
 def _peak_model(theta, x):
     """Background plus one pseudo-Voigt line, and the model's Jacobian.
 
@@ -552,6 +556,11 @@ def fit_spectrum_peaks(spectrum: Spectrum, instrument_fwhm: float | None = None)
     ``center_err`` comes from the fit's covariance scaled by the residual
     variance (the spectrum carries no per-point errors).
     """
+    if spectrum.energies.size <= _PEAK_PARAMETERS:
+        raise ParameterError(
+            f"a line fit needs >= {_PEAK_PARAMETERS + 1} spectrum samples, "
+            f"got {spectrum.energies.size}"
+        )
     if instrument_fwhm is None:
         instrument_fwhm = spectrum.instrument.resolution_fwhm
     if spectrum.step > instrument_fwhm / 3.0 + 1e-12:
@@ -570,7 +579,7 @@ def fit_spectrum_peaks(spectrum: Spectrum, instrument_fwhm: float | None = None)
     result = _fit_least_squares(evaluate, free, n_restarts=1, gen=None)
     if not result.converged:
         raise FitFailureError("peak fit did not converge")
-    variance_scale = math.sqrt(result.residual_norm / max(x.size - len(free), 1))
+    variance_scale = math.sqrt(result.residual_norm / (x.size - len(free)))
     est = result.estimates
     return PeakFit(
         center=origin + est["center"].value,

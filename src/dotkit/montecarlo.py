@@ -17,7 +17,11 @@ blocks run on a thread pool with one worker per core the process may use
 (numpy's random fills, cumsum and trig ufuncs release the GIL). Each worker
 reuses one workspace that the calling thread allocates: the reference
 emitter's phases for a block, which the block's per-realization samples
-then overwrite, and, for three or more emitters, the running field sums.
+then overwrite; for three or more emitters, the first partner emitter's
+phase differences, from which the second partner's pass forms the first
+one's field terms; and for four or more, the running field sums, real in
+the array of those phase differences and imaginary in one more. That is
+one, two or three block arrays for N = 2, 3 and >= 4.
 The other emitters are drawn and combined in row chunks; chunked normal
 fills continue the stream exactly as one whole-block draw would. Every
 block is summed over the same array as in a sequential run and the block
@@ -29,6 +33,7 @@ bin law, so it costs the same for any number of events.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -130,18 +135,20 @@ class _Workspace:
     """Buffers one worker reuses for every block it simulates.
 
     ``samples`` holds the reference emitter's phases of a block, which the
-    block's per-realization samples then overwrite. ``field`` holds the
-    running real and imaginary field sums; only three or more emitters need
-    them. ``phase`` and ``term`` are the row-chunk buffers of the other
-    emitters.
+    block's per-realization samples then overwrite. ``field`` holds what the
+    passes over the partner emitters carry from one pass to the next: with
+    two or more partners, the first partner's phase differences, from which
+    the second partner's pass forms the first one's field terms; with three
+    or more, the running field sums after that pass, real in the same array
+    and imaginary in a second one. So a worker holds min(N - 1, 3) block
+    arrays for N emitters. ``phase`` and ``term`` are the partners'
+    row-chunk buffers.
     """
 
-    def __init__(self, rows: int, n_delays: int, field_sums: bool):
+    def __init__(self, rows: int, n_delays: int, partners: int):
         chunk = min(CHUNK_ROWS, rows)
         self.samples = np.empty((rows, n_delays))
-        self.field = None
-        if field_sums:
-            self.field = (np.empty((rows, n_delays)), np.empty((rows, n_delays)))
+        self.field = [np.empty((rows, n_delays)) for _ in range(min(partners, 3) - 1)]
         self.phase = np.empty((chunk, n_delays))
         self.term = np.empty((chunk, n_delays))
 
@@ -194,11 +201,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: bool):
+def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, partners: int):
     """Mean and standard error per delay of n_real per-realization samples.
 
     ``fill(gen, workspace, size)`` writes one block's samples to
-    ``workspace.samples[:size]``, drawing from ``gen``. The blocks run on
+    ``workspace.samples[:size]``, drawing from ``gen``, with a workspace
+    sized for ``partners`` emitters beside the reference. The blocks run on
     one worker per usable core, the calling thread included: worker w takes
     blocks w, w + W, ... with the workspace the calling thread made for it.
     Each block is summed over its whole array, as in a sequential run, and
@@ -208,7 +216,7 @@ def _sample_mean(rng: RngSeed, n_real: int, n_delays: int, fill, field_sums: boo
     """
     sizes = _block_sizes(n_real)
     workers = min(_usable_cores(), len(sizes))
-    workspaces = [_Workspace(sizes[0], n_delays, field_sums) for _ in range(workers)]
+    workspaces = [_Workspace(sizes[0], n_delays, partners) for _ in range(workers)]
     sums = [None] * len(sizes)
 
     def work(w: int) -> None:
@@ -254,9 +262,17 @@ def mc_g2(
     Each distinct |tau| is sampled once, so the two sides of a grid that
     is exactly symmetric about zero share their draws.
     """
+    whole = isinstance(n_real, numbers.Integral)
+    if not (whole or isinstance(n_real, float) and n_real.is_integer()):
+        raise ParameterError(f"n_real must be a whole number, got {n_real!r}")
+    n_real = int(n_real)
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
     tau = np.asarray(tau_grid, dtype=float)
+    if tau.ndim != 1 or not np.all(np.isfinite(tau)):
+        raise ParameterError("delay grid must be a 1-d array of finite delays")
+    if np.any(np.diff(tau) <= 0):
+        raise ParameterError("delay grid must be strictly increasing")
     t = np.abs(tau)
     u, inverse = np.unique(t, return_inverse=True)
     weights = system.intensities
@@ -275,8 +291,26 @@ def mc_g2(
             pass
         for k, (e, om, a) in enumerate(others):
             for rows, psi in _phase_chunks(e, om, u, size, gen, ws.phase, ws.term):
-                term = ws.term[: len(psi)]
                 psi -= reference[rows]
+                if k == 0 and len(others) > 1:
+                    # The first of several partners keeps its phase
+                    # differences only; the second one's pass forms its sums.
+                    ws.field[0][rows] = psi
+                    continue
+                if k == 1:
+                    # The first partner's sums, formed as its own pass would
+                    # have formed them, in rows free at this point: the
+                    # imaginary sums' or, with no later pass, the reference's.
+                    re_sum = ws.field[1][rows] if len(ws.field) > 1 else reference[rows]
+                    im_sum = ws.field[0][rows]
+                    np.cos(im_sum, out=re_sum)
+                    re_sum *= amplitudes[1]
+                    re_sum += a0
+                    np.sin(im_sum, out=im_sum)
+                    im_sum *= amplitudes[1]
+                elif k > 1:
+                    re_sum, im_sum = ws.field[0][rows], ws.field[1][rows]
+                term = ws.term[: len(psi)]
                 np.cos(psi, out=term)
                 term *= a
                 np.sin(psi, out=psi)
@@ -285,8 +319,8 @@ def mc_g2(
                 if k == 0:
                     term += a0
                 else:
-                    term += ws.field[0][rows]
-                    psi += ws.field[1][rows]
+                    term += re_sum
+                    psi += im_sum
                 if k < len(others) - 1:
                     ws.field[0][rows] = term
                     ws.field[1][rows] = psi
@@ -299,7 +333,7 @@ def mc_g2(
                 np.subtract(term, self_terms, out=reference[rows])
 
     if others:
-        mean, stderr = _sample_mean(rng, n_real, u.size, fill, field_sums=len(others) > 1)
+        mean, stderr = _sample_mean(rng, n_real, u.size, fill, len(others))
     else:
         mean = stderr = np.zeros(u.size)
 

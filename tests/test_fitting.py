@@ -504,6 +504,15 @@ class TestSpectrumPeaks:
         with pytest.raises(dk.ParameterError):
             dk.fit_spectrum_peaks(spectrum, instrument_fwhm=2.4)
 
+    @pytest.mark.parametrize("n_samples", [0, 1, 5])
+    def test_too_few_samples(self, n_samples):
+        """Five free parameters need six samples, so the residual variance
+        behind ``center_err`` keeps a degree of freedom."""
+        grid = self.CENTER + 0.6 * np.arange(n_samples)
+        spectrum = dk.Spectrum(grid, np.hanning(n_samples), dk.Instrument.fabry_perot())
+        with pytest.raises(dk.ParameterError, match="needs >= 6 spectrum samples"):
+            dk.fit_spectrum_peaks(spectrum)
+
 
 def reference_peak(x, background, eta, center, fwhm, height):
     """Background plus a pseudo-Voigt line, written out independently of dotkit."""

@@ -1,9 +1,14 @@
 """The Monte Carlo oracle's blocks on a thread pool: same bits, bounded memory.
 
-``mc_g2`` spreads its realization blocks over one worker per usable core. The result must be the sequential block loop's bit
-for bit at any worker count, so these tests compare with ``np.array_equal``
-against the loop frozen in ``mc_reference.py``. The worker count is set by
-patching ``os.sched_getaffinity`` as the oracle sees it.
+``mc_g2`` spreads its realization blocks over one worker per usable core.
+The result must be the sequential block loop's bit for bit at any worker
+count and for every pass order over the emitters (N = 5 has a pass after
+the rebuilt first partner that both reads and writes the running sums), so
+these tests compare with ``np.array_equal`` against the loop frozen in
+``mc_reference.py``. The worker count is set by patching
+``os.sched_getaffinity`` as the oracle sees it. A worker's memory is bounded
+per emitter count by min(N - 1, 3) block arrays: at N = 3 and 2 workers
+that is 20.7 MiB, against 30.1 MiB for three block arrays.
 """
 
 import functools
@@ -53,7 +58,7 @@ def use_workers(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("n_real", [150, 45_123, 100_000])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bit_identical_to_sequential_loop(monkeypatch, n, n_real, workers):
     use_workers(monkeypatch, workers)
     system = detuned_system(n)
@@ -95,29 +100,39 @@ def test_cpu_count_fallback(monkeypatch):
 WHOLE_BLOCK_PEAK_BYTES = 35_180_379
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_peak_memory_within_workspace_bound(monkeypatch, workers):
-    """The workspaces bound the oracle's memory, not the number of emitters.
+def workspace_bound(n, workers, n_delays):
+    """Bytes the oracle's workspaces may take at N = n emitters.
 
     Per worker, with B = BLOCK_SIZE, C = CHUNK_ROWS and 8-byte doubles:
-    - the workspace: the reference phases (later the samples) and the
-      running re and im field sums, 3 x B x |u| x 8 B;
+    - the block arrays, min(N - 1, 3) x B x |u| x 8 B: the reference phases
+      (later the samples), from N = 3 on the first partner's phase
+      differences (later the running re sums), and from N = 4 on the
+      running im sums;
     - the two chunk buffers of the other emitters, 2 x C x |u| x 8 B;
     - one emitter's column of B frequency offsets, B x 8 B;
     - 256 KiB for numpy's iterator buffers (8,192 elements per operand of a
       broadcasting ufunc such as (omega + offsets) * u) and the small
       per-chunk and per-block temporaries.
-    At 2 workers that is 30.1 MiB, below the whole-block loop's 33.6 MiB.
+    At 31 delays and 2 workers that is 11.2, 20.7 and 30.1 MiB for
+    N = 2, 3 and >= 4.
     """
+    block, chunk = montecarlo.BLOCK_SIZE, montecarlo.CHUNK_ROWS
+    arrays = min(n - 1, 3)
+    return workers * ((arrays * block + 2 * chunk) * n_delays * 8 + block * 8 + 256 * 1024)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_peak_memory_within_workspace_bound(monkeypatch, n, workers):
+    """The workspaces bound the oracle's memory, whatever the number of
+    emitters; no emitter count takes more than three block arrays."""
     use_workers(monkeypatch, workers)
-    system = detuned_system(3)
+    system = detuned_system(n)
     n_delays = np.unique(np.abs(TAU)).size
     assert n_delays == 31
     dk.mc_g2(system, TAU, 1_000, SEED)  # first-call allocations out of the way
-    block, chunk = montecarlo.BLOCK_SIZE, montecarlo.CHUNK_ROWS
-    per_worker = (3 * block + 2 * chunk) * n_delays * 8 + block * 8 + 256 * 1024
-    bound = workers * per_worker
-    assert bound <= WHOLE_BLOCK_PEAK_BYTES
+    bound = workspace_bound(n, workers, n_delays)
+    assert bound <= workspace_bound(4, workers, n_delays) <= WHOLE_BLOCK_PEAK_BYTES
     tracemalloc.start()
     try:
         dk.mc_g2(system, TAU, 100_000, SEED)

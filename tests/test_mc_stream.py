@@ -3,7 +3,7 @@
 ``mc_g2`` works on real phase differences; the reference in
 ``mc_reference.py`` keeps the complex trajectories. Both must draw the same
 normals in the same order, so they agree to rounding on any system of two to
-four emitters, grid, seed and realization count, including counts that end
+five emitters, grid, seed and realization count, including counts that end
 in a partial block.
 
 The errors are compared as sample variances, n_real * stderr^2. A standard
@@ -47,7 +47,7 @@ def grids(draw):
 
 @st.composite
 def systems(draw):
-    n = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from([2, 3, 4, 5]))
     if draw(st.booleans()):
         return tuple(draw(st.lists(emitters, min_size=n, max_size=n)))
     rates = [draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 2.0))]

@@ -8,6 +8,7 @@ from scipy.stats import chi2, chisquare
 
 import dotkit as dk
 import mc_reference
+from dotkit import montecarlo
 from dotkit.montecarlo import _bin_law
 
 from conftest import REF_GAMMA, REF_GAMMA_PD, REF_SIGMA, mc_pair_factor, pair_factor
@@ -105,6 +106,44 @@ class TestMcG2:
         a = dk.mc_g2(resonant_trio, tau, 5_000, dk.RngSeed(7, stream_id=0))
         b = dk.mc_g2(resonant_trio, tau, 5_000, dk.RngSeed(7, stream_id=1))
         assert not np.array_equal(a.values, b.values)
+
+
+class TestMcG2Arguments:
+    """Bad arguments are refused before any realization is drawn."""
+
+    TAU = np.linspace(-1.0, 1.0, 5)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("realizations were drawn")
+
+        monkeypatch.setattr(montecarlo, "_sample_mean", fail)
+
+    def test_whole_float_is_a_count(self, resonant_pair):
+        a = dk.mc_g2(resonant_pair, self.TAU, 1_000.0, dk.RngSeed(8))
+        b = dk.mc_g2(resonant_pair, self.TAU, 1_000, dk.RngSeed(8))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.errors, b.errors)
+
+    @pytest.mark.parametrize("n_real", [1000.7, "1000", None, math.nan, math.inf, 99])
+    def test_n_real_must_be_a_whole_count(self, resonant_pair, no_draws, n_real):
+        with pytest.raises(dk.ParameterError, match="n_real"):
+            dk.mc_g2(resonant_pair, self.TAU, n_real, dk.RngSeed(8))
+
+    @pytest.mark.parametrize(
+        "tau,message",
+        [
+            ([0.5, 0.0, 1.0], "delay grid must be strictly increasing"),
+            ([0.0, 0.0, 1.0], "delay grid must be strictly increasing"),
+            ([0.0, math.nan, 1.0], "finite delays"),
+            ([0.0, 1.0, math.inf], "finite delays"),
+            ([[0.0, 1.0]], "1-d"),
+        ],
+    )
+    def test_delay_grid_checked_up_front(self, resonant_pair, no_draws, tau, message):
+        with pytest.raises(dk.ParameterError, match=message):
+            dk.mc_g2(resonant_pair, tau, 1_000, dk.RngSeed(8))
 
 
 class TestSampleCoincidences:
