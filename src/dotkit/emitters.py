@@ -163,6 +163,8 @@ class G2Curve:
         object.__setattr__(self, "values", values)
         if delays.ndim != 1 or delays.shape != values.shape:
             raise ParameterError("delays and values must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(delays)):
+            raise ParameterError("curve delays must be finite")
         if delays.size >= 2 and not np.all(np.diff(delays) > 0):
             raise ParameterError("delay grid must be strictly increasing")
         if not np.all(np.isfinite(values)):
@@ -195,8 +197,8 @@ class Irf:
     fwhm: float
 
     def __post_init__(self):
-        if not self.fwhm > 0:
-            raise ParameterError(f"IRF fwhm must be > 0, got {self.fwhm}")
+        if not (self.fwhm > 0 and math.isfinite(self.fwhm)):
+            raise ParameterError(f"IRF fwhm must be finite and > 0, got {self.fwhm}")
 
     @property
     def sigma(self) -> float:
@@ -394,4 +396,7 @@ def read_curve(path) -> G2Curve:
     """Read a curve written by :func:`write_curve`."""
     data = _read_table(path, "curve")[1]
     errors = data[:, 2] if data.shape[1] >= 3 else None
-    return G2Curve(data[:, 0], data[:, 1], errors)
+    try:
+        return G2Curve(data[:, 0], data[:, 1], errors)
+    except ParameterError as err:
+        raise ParameterError(f"curve file {path}: {err}") from err

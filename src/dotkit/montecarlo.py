@@ -9,6 +9,8 @@ analytically; only the interference factor needs Monte Carlo validation.
 Trajectories are carried as real phases, not complex exponentials: the
 interference depends only on phase differences, so each emitter's phase is
 taken relative to a reference emitter's and enters through one cos/sin.
+With one partner emitter the sample |a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2
+is 2 a0 a1 cos(psi1): one cosine per sample, with no sine and no squares.
 Each distinct |tau| of the delay grid is sampled once; a grid that is
 exactly symmetric about zero therefore costs half its points.
 
@@ -188,6 +190,14 @@ def _phase_chunks(
         yield rows, phase
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with a whole value."""
+    whole = isinstance(value, numbers.Integral)
+    if not (whole or isinstance(value, float) and value.is_integer()):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _block_sizes(n_real: int) -> list[int]:
     sizes = [BLOCK_SIZE] * (n_real // BLOCK_SIZE)
     if n_real % BLOCK_SIZE:
@@ -259,13 +269,11 @@ def mc_g2(
     cross-pair correlations. The modulus does not change under a common
     phase, so the sum runs over real phases relative to the first
     emitter's: re = a_0 + sum a_i cos(psi_i), im = sum a_i sin(psi_i).
+    With one partner the sample is 2 a_0 a_1 cos(psi_1), one cosine.
     Each distinct |tau| is sampled once, so the two sides of a grid that
     is exactly symmetric about zero share their draws.
     """
-    whole = isinstance(n_real, numbers.Integral)
-    if not (whole or isinstance(n_real, float) and n_real.is_integer()):
-        raise ParameterError(f"n_real must be a whole number, got {n_real!r}")
-    n_real = int(n_real)
+    n_real = _whole_number(n_real, "n_real")
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
     tau = np.asarray(tau_grid, dtype=float)
@@ -284,6 +292,8 @@ def mc_g2(
     self_terms = (weights[:, None] ** 2 * decay).sum(axis=0)
 
     (e0, om0, a0), *others = zip(system.emitters, omegas, amplitudes)
+    if len(others) == 1:
+        pair = 2.0 * a0 * amplitudes[1]
 
     def fill(gen, ws, size):
         reference = ws.samples[:size]
@@ -292,7 +302,13 @@ def mc_g2(
         for k, (e, om, a) in enumerate(others):
             for rows, psi in _phase_chunks(e, om, u, size, gen, ws.phase, ws.term):
                 psi -= reference[rows]
-                if k == 0 and len(others) > 1:
+                if len(others) == 1:
+                    # One partner: the sample 2 a0 a1 cos(psi) goes over
+                    # reference rows that are no longer needed.
+                    np.cos(psi, out=psi)
+                    np.multiply(psi, pair, out=reference[rows])
+                    continue
+                if k == 0:
                     # The first of several partners keeps its phase
                     # differences only; the second one's pass forms its sums.
                     ws.field[0][rows] = psi
@@ -308,7 +324,7 @@ def mc_g2(
                     re_sum += a0
                     np.sin(im_sum, out=im_sum)
                     im_sum *= amplitudes[1]
-                elif k > 1:
+                else:
                     re_sum, im_sum = ws.field[0][rows], ws.field[1][rows]
                 term = ws.term[: len(psi)]
                 np.cos(psi, out=term)
@@ -316,11 +332,8 @@ def mc_g2(
                 np.sin(psi, out=psi)
                 psi *= a
                 # term and psi become the running field sums re and im.
-                if k == 0:
-                    term += a0
-                else:
-                    term += re_sum
-                    psi += im_sum
+                term += re_sum
+                psi += im_sum
                 if k < len(others) - 1:
                     ws.field[0][rows] = term
                     ws.field[1][rows] = psi
@@ -359,9 +372,15 @@ def sample_coincidences(
     them) blurred with the IRF's Gaussian jitter and conditioned on
     [-window, +window]: the counts are one multinomial draw from the bin
     probabilities of that law, so the cost does not grow with ``n_events``.
+    A whole float such as ``1e5`` counts as an event count.
     """
     if window <= 0:
         raise EmptyWindowError(f"window must be > 0, got {window}")
+    if not math.isfinite(window):
+        raise ParameterError(f"window must be finite, got {window}")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ParameterError(f"bin_width must be finite and > 0, got {bin_width}")
+    n_events = _whole_number(n_events, "n_events")
     if n_events < 1:
         raise ParameterError(f"need n_events >= 1, got {n_events}")
     if model.delays[0] > -window or model.delays[-1] < window:
@@ -447,6 +466,8 @@ def read_histogram(path) -> G2Histogram:
     centers, counts = data[:, 0], data[:, 1]
     if len(centers) < 2:
         raise ParameterError(f"histogram file {path} needs >= 2 bins")
+    if not np.all(np.isfinite(centers)):
+        raise ParameterError(f"histogram file {path}: bin centers must be finite")
     if not np.all(np.isfinite(counts) & (np.round(counts) == counts)):
         raise ParameterError(f"histogram file {path}: counts must be whole numbers")
     # Edges from the end centers and the bin count, met by every center

@@ -81,9 +81,11 @@ def g2(emitters, tau, n_real, seed, stream_id=0):
 
 
 # The oracle's sequential block loop on real phase differences, frozen as it
-# stood before its blocks were spread over threads. The threaded oracle must
-# match it bit for bit, so the arithmetic here is kept operation for
-# operation: the same in-place steps in the same order on whole blocks.
+# stood before its blocks were spread over threads, except that a single
+# partner's sample |a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2 is taken as
+# 2 a0 a1 cos(psi1), one cosine, as the oracle now takes it. The threaded
+# oracle must match it bit for bit, so the arithmetic here is kept operation
+# for operation: the same in-place steps in the same order on whole blocks.
 
 
 def _sequential_phases(e, omega, u, n, gen):
@@ -109,22 +111,29 @@ def sequential_g2(emitters, tau, n_real, seed, stream_id=0):
     (e0, om0, a0), *others = zip(emitters, omegas, amplitudes)
     for size, gen in _blocks(n_real, seed, stream_id):
         reference = _sequential_phases(e0, om0, u, size, gen)
-        re = np.broadcast_to(a0, (size, u.size)).copy()
-        im = np.zeros((size, u.size))
-        term = np.empty((size, u.size))
-        for e, om, a in others:
-            psi = _sequential_phases(e, om, u, size, gen)
-            psi -= reference
-            np.cos(psi, out=term)
-            term *= a
-            re += term
-            np.sin(psi, out=psi)
-            psi *= a
-            im += psi
-        re *= re
-        im *= im
-        re += im
-        re -= self_terms
+        if len(others) == 1:
+            ((e, om, a),) = others
+            re = _sequential_phases(e, om, u, size, gen)
+            re -= reference
+            np.cos(re, out=re)
+            re *= 2.0 * a0 * a
+        else:
+            re = np.broadcast_to(a0, (size, u.size)).copy()
+            im = np.zeros((size, u.size))
+            term = np.empty((size, u.size))
+            for e, om, a in others:
+                psi = _sequential_phases(e, om, u, size, gen)
+                psi -= reference
+                np.cos(psi, out=term)
+                term *= a
+                re += term
+                np.sin(psi, out=psi)
+                psi *= a
+                im += psi
+            re *= re
+            im *= im
+            re += im
+            re -= self_terms
         total += re.sum(axis=0)
         re *= re
         total_sq += re.sum(axis=0)

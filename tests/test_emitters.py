@@ -41,6 +41,16 @@ class TestEmitterTypes:
         with pytest.raises(dk.ParameterError):
             dk.G2Curve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("delays", [[0.0, math.inf], [-math.inf, 0.0], [math.inf], [math.nan]])
+    def test_curve_delays_must_be_finite(self, delays):
+        with pytest.raises(dk.ParameterError, match="delays must be finite"):
+            dk.G2Curve(delays, np.ones(len(delays)))
+
+    @pytest.mark.parametrize("fwhm", [0.0, -0.1, math.inf, math.nan])
+    def test_irf_fwhm_must_be_finite_and_positive(self, fwhm):
+        with pytest.raises(dk.ParameterError, match="IRF fwhm"):
+            dk.Irf(fwhm)
+
 
 class TestPairCoupling:
     """The closed-form pair factor that the Monte Carlo pair checks aim at."""
@@ -269,11 +279,13 @@ MALFORMED = {
     "falling centers": "0.02\t1\n0.0\t5\n",
     "bad seed": "# seed = one\n" + ROWS,
     "bad resolution": "# resolution_fwhm_ueV = wide\n" + ROWS,
+    "infinite delay": ROWS + "inf\t1\n",
+    "infinite value": ROWS + "0.04\tinf\n",
 }
 CASES = [
     (reader, name)
     for reader in ("curve", "histogram", "spectrum")
-    for name in ("bad cell", "ragged row", "one column")
+    for name in ("bad cell", "ragged row", "one column", "infinite delay", "infinite value")
 ] + [
     ("histogram", "fractional count"),
     ("histogram", "uneven bins"),

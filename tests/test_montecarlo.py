@@ -193,12 +193,50 @@ class TestSampleCoincidences:
     def test_window_errors(self, resonant_pair, irf_100ps):
         grid = np.arange(-2, 2.001, 0.01)
         model = dk.G2Curve(grid, dk.g2_general(resonant_pair, grid))
-        with pytest.raises(dk.EmptyWindowError):
-            dk.sample_coincidences(model, 100, 0.0, irf_100ps, dk.RngSeed(0))
+        for window in (0.0, -math.inf):
+            with pytest.raises(dk.EmptyWindowError):
+                dk.sample_coincidences(model, 100, window, irf_100ps, dk.RngSeed(0))
         with pytest.raises(dk.GridCoverageError):
             dk.sample_coincidences(
                 model, 100, 10.0, irf_100ps, dk.RngSeed(0), normalization_window=(0.5, 1.5)
             )
+
+    def test_whole_float_is_an_event_count(self, resonant_pair, irf_100ps):
+        grid = np.arange(-11, 11.001, 0.01)
+        model = dk.G2Curve(grid, dk.g2_general(resonant_pair, grid))
+        a = dk.sample_coincidences(model, 1e5, 10.0, irf_100ps, dk.RngSeed(3))
+        b = dk.sample_coincidences(model, 100_000, 10.0, irf_100ps, dk.RngSeed(3))
+        assert a.n_events == 100_000 and isinstance(a.n_events, int)
+        assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"n_events": 1.5}, "n_events must be a whole number"),
+            ({"n_events": "100"}, "n_events must be a whole number"),
+            ({"n_events": math.nan}, "n_events must be a whole number"),
+            ({"n_events": math.inf}, "n_events must be a whole number"),
+            ({"n_events": 0}, "n_events >= 1"),
+            ({"bin_width": -0.02}, "bin_width"),
+            ({"bin_width": 0.0}, "bin_width"),
+            ({"bin_width": math.nan}, "bin_width"),
+            ({"bin_width": math.inf}, "bin_width"),
+            ({"window": math.nan}, "window must be finite"),
+            ({"window": math.inf}, "window must be finite"),
+        ],
+    )
+    def test_arguments_checked_before_drawing(
+        self, monkeypatch, resonant_pair, irf_100ps, change, message
+    ):
+        def fail(*args):
+            raise AssertionError("the bin law was computed")
+
+        monkeypatch.setattr(montecarlo, "_bin_law", fail)
+        grid = np.arange(-11, 11.001, 0.01)
+        model = dk.G2Curve(grid, dk.g2_general(resonant_pair, grid))
+        args = {"n_events": 100, "window": 10.0, "bin_width": 0.02, **change}
+        with pytest.raises(dk.ParameterError, match=message):
+            dk.sample_coincidences(model, irf=irf_100ps, rng=dk.RngSeed(0), **args)
 
     def test_event_count_preserved_with_redraws(self, irf_100ps):
         grid = np.arange(-3, 3.001, 0.01)
