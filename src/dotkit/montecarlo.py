@@ -7,10 +7,12 @@ dephasing) per emitter. The same-emitter incoherent term is taken
 analytically; only the interference factor needs Monte Carlo validation.
 
 Trajectories are carried as real phases, not complex exponentials: the
-interference depends only on phase differences, so each emitter's phase is
-taken relative to a reference emitter's and enters through one cos/sin.
-With one partner emitter the sample |a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2
-is 2 a0 a1 cos(psi1): one cosine per sample, with no sine and no squares.
+interference depends only on phase differences, so each partner emitter's
+phase is taken relative to a reference emitter's, as one cumsum of its phase
+increments less the reference's. With one partner emitter the sample
+|a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2 is 2 a0 a1 cos(psi1), one cosine with
+no sine and no squares; with two it is a pair sum of three cosines; from
+three on, each partner enters a running field through one cos/sin.
 Each distinct |tau| of the delay grid is sampled once; a grid that is
 exactly symmetric about zero therefore costs half its points.
 
@@ -18,12 +20,12 @@ Realizations come in blocks, each drawn from its own substream, and the
 blocks run on a thread pool with one worker per core the process may use
 (numpy's random fills, cumsum and trig ufuncs release the GIL). Each worker
 reuses one workspace that the calling thread allocates: the reference
-emitter's phases for a block, which the block's per-realization samples
-then overwrite; for three or more emitters, the first partner emitter's
-phase differences, from which the second partner's pass forms the first
-one's field terms; and for four or more, the running field sums, real in
-the array of those phase differences and imaginary in one more. That is
-one, two or three block arrays for N = 2, 3 and >= 4.
+emitter's increments for a block, which the block's per-realization samples
+then overwrite; for two or more partners, the first partner's phase
+differences, which the second partner's pass reads; and for three or
+more, the running field sums, real in the array of those phase differences
+and imaginary in one more. That is one, two or three block arrays for
+N = 2, 3 and >= 4.
 The other emitters are drawn and combined in row chunks; chunked normal
 fills continue the stream exactly as one whole-block draw would. Every
 block is summed over the same array as in a sequential run and the block
@@ -45,7 +47,6 @@ import numpy as np
 
 from .emitters import (
     HBAR_UEV_NS,
-    Emitter,
     EmitterSystem,
     G2Curve,
     Irf,
@@ -125,8 +126,8 @@ class G2Histogram:
         if np.any(counts < 0):
             raise ParameterError("counts must be >= 0")
         lo, hi = self.normalization_window
-        if not 0 <= lo < hi:
-            raise ParameterError("normalization window must satisfy 0 <= lo < hi")
+        if not (0 <= lo < hi and math.isfinite(hi)):
+            raise ParameterError("normalization window must be finite with 0 <= lo < hi")
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -136,15 +137,15 @@ class G2Histogram:
 class _Workspace:
     """Buffers one worker reuses for every block it simulates.
 
-    ``samples`` holds the reference emitter's phases of a block, which the
-    block's per-realization samples then overwrite. ``field`` holds what the
-    passes over the partner emitters carry from one pass to the next: with
-    two or more partners, the first partner's phase differences, from which
-    the second partner's pass forms the first one's field terms; with three
-    or more, the running field sums after that pass, real in the same array
-    and imaginary in a second one. So a worker holds min(N - 1, 3) block
-    arrays for N emitters. ``phase`` and ``term`` are the partners'
-    row-chunk buffers.
+    ``samples`` holds the reference emitter's phase increments of a block,
+    which the block's per-realization samples then overwrite. ``field``
+    holds what the passes over the partner emitters carry from one pass to
+    the next: with two or more partners, the first partner's phase
+    differences, which the second partner's pass reads; with three or more,
+    the running field sums after that pass, real in the same array and
+    imaginary in a second one. So a worker holds min(N - 1, 3) block arrays
+    for N emitters. ``phase`` and ``term`` are the partners' row-chunk
+    buffers.
     """
 
     def __init__(self, rows: int, n_delays: int, partners: int):
@@ -155,39 +156,41 @@ class _Workspace:
         self.term = np.empty((chunk, n_delays))
 
 
-def _phase_chunks(
-    e: Emitter,
-    omega: float,
-    u: np.ndarray,
-    n: int,
-    gen: np.random.Generator,
-    out: np.ndarray,
-    drift: np.ndarray,
-):
-    """Yield (rows, phi) for row chunks of one emitter's phase samples in rad.
+def _phase_chunks(emitters, omegas, du, gen, reference, chunk, drift):
+    """Yield (k, rows, psi) for row chunks of psi_k = phi_k - phi_0 in rad,
+    partner by partner, k = 1, 2, ...
 
-    The emitter's first-order coherence is g1(u) = exp(-gamma u / 2)
-    exp(i phi(u)). ``u`` is a sorted grid of nonnegative delays; the Wiener
-    dephasing phase accumulates over its segments. ``omega`` is the
-    deterministic angular frequency in rad/ns (already referenced to keep
-    phases small). Draws one frequency offset per realization, then one
+    Emitter k's first-order coherence is g1(u) = exp(-gamma u / 2)
+    exp(i phi_k(u)) on a sorted grid u >= 0 with segments ``du``; phi_k sums
+    the increments z sqrt(2 gamma_pd du) + (omega_k + f) du: Wiener
+    dephasing steps, and the drift at the angular frequency omega_k in
+    rad/ns (referenced to keep phases small) plus an offset f drawn per
+    realization. Per emitter, one offset is drawn per realization, then one
     normal per realization and delay, chunk by chunk in row order: the same
-    numbers as one (n, len(u)) draw. A chunk is built in ``out[rows]`` when
-    ``out`` has n rows, else in the head of ``out``, which every chunk then
-    reuses; ``drift`` is a work buffer with at least a chunk's rows.
+    numbers as one (n, len(du)) draw. The reference emitter's increments
+    fill ``reference`` (n rows) and stay there. A partner's chunk is built
+    in the head of ``chunk``: its increments less the reference's, summed
+    by one cumsum. ``drift`` is a work buffer of a chunk's rows. One
+    emitter's offsets are alive at a time.
     """
-    offsets = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
-    steps = np.sqrt(2.0 * e.gamma_pd * np.diff(u, prepend=0.0))
-    for start in range(0, n, CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, n))
-        size = rows.stop - start
-        phase = out[rows] if len(out) >= n else out[:size]
-        gen.standard_normal(out=phase)
-        phase *= steps
-        np.cumsum(phase, axis=1, out=phase)
-        np.multiply(omega + offsets[rows], u, out=drift[:size])
-        phase += drift[:size]
-        yield rows, phase
+    n = len(reference)
+    for k, (e, omega) in enumerate(zip(emitters, omegas)):
+        rates = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
+        rates += omega
+        steps = np.sqrt(2.0 * e.gamma_pd * du)
+        for start in range(0, n, CHUNK_ROWS):
+            rows = slice(start, min(start + CHUNK_ROWS, n))
+            size = rows.stop - start
+            inc = chunk[:size] if k else reference[rows]
+            gen.standard_normal(out=inc)
+            inc *= steps
+            np.multiply(rates[rows], du, out=drift[:size])
+            inc += drift[:size]
+            if k:
+                inc -= reference[rows]
+                np.cumsum(inc, axis=1, out=inc)
+                yield k, rows, inc
+        del rates
 
 
 def _whole_number(value, name: str) -> int:
@@ -267,12 +270,16 @@ def mc_g2(
     realization as |sum_i a_i exp(i phi_i)|^2 - sum_i a_i^2 with
     a_i = I_i exp(-gamma_i |tau| / 2), so the quoted errors include
     cross-pair correlations. The modulus does not change under a common
-    phase, so the sum runs over real phases relative to the first
-    emitter's: re = a_0 + sum a_i cos(psi_i), im = sum a_i sin(psi_i).
-    With one partner the sample is 2 a_0 a_1 cos(psi_1), one cosine.
-    Each distinct |tau| is sampled once, so the two sides of a grid that
-    is exactly symmetric about zero share their draws.
+    phase, so the sum runs over phase differences psi_i = phi_i - phi_0:
+    re = a_0 + sum a_i cos(psi_i), im = sum a_i sin(psi_i). With one partner
+    the sample is 2 a_0 a_1 cos(psi_1), one cosine; with two it is the pair
+    sum c_01 cos(psi_1) + c_02 cos(psi_2) + c_12 cos(psi_2 - psi_1) with
+    c_ij = 2 a_i a_j, three cosines. Each distinct |tau| is sampled once,
+    so the two sides of a grid that is exactly symmetric about zero share
+    their draws. ``rng`` must be an :class:`RngSeed`.
     """
+    if not isinstance(rng, RngSeed):
+        raise ParameterError(f"rng must be an RngSeed, got {type(rng).__name__}")
     n_real = _whole_number(n_real, "n_real")
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
@@ -283,6 +290,7 @@ def mc_g2(
         raise ParameterError("delay grid must be strictly increasing")
     t = np.abs(tau)
     u, inverse = np.unique(t, return_inverse=True)
+    du = np.diff(u, prepend=0.0)
     weights = system.intensities
     total_intensity = weights.sum()
     energies = system.energies
@@ -290,63 +298,70 @@ def mc_g2(
     decay = np.array([np.exp(-e.gamma * u) for e in system.emitters])
     amplitudes = [w * np.exp(-0.5 * e.gamma * u) for e, w in zip(system.emitters, weights)]
     self_terms = (weights[:, None] ** 2 * decay).sum(axis=0)
-
-    (e0, om0, a0), *others = zip(system.emitters, omegas, amplitudes)
-    if len(others) == 1:
-        pair = 2.0 * a0 * amplitudes[1]
+    partners = len(amplitudes) - 1
+    if partners <= 2:  # the pair sum's coefficients c_ij = 2 a_i a_j
+        pairs = [(i, j) for j in range(partners + 1) for i in range(j)]
+        c = {(i, j): 2.0 * amplitudes[i] * amplitudes[j] for i, j in pairs}
 
     def fill(gen, ws, size):
         reference = ws.samples[:size]
-        for _ in _phase_chunks(e0, om0, u, size, gen, reference, ws.term):
-            pass
-        for k, (e, om, a) in enumerate(others):
-            for rows, psi in _phase_chunks(e, om, u, size, gen, ws.phase, ws.term):
-                psi -= reference[rows]
-                if len(others) == 1:
-                    # One partner: the sample 2 a0 a1 cos(psi) goes over
-                    # reference rows that are no longer needed.
-                    np.cos(psi, out=psi)
-                    np.multiply(psi, pair, out=reference[rows])
-                    continue
-                if k == 0:
-                    # The first of several partners keeps its phase
-                    # differences only; the second one's pass forms its sums.
-                    ws.field[0][rows] = psi
-                    continue
-                if k == 1:
-                    # The first partner's sums, formed as its own pass would
-                    # have formed them, in rows free at this point: the
-                    # imaginary sums' or, with no later pass, the reference's.
-                    re_sum = ws.field[1][rows] if len(ws.field) > 1 else reference[rows]
-                    im_sum = ws.field[0][rows]
-                    np.cos(im_sum, out=re_sum)
-                    re_sum *= amplitudes[1]
-                    re_sum += a0
-                    np.sin(im_sum, out=im_sum)
-                    im_sum *= amplitudes[1]
-                else:
-                    re_sum, im_sum = ws.field[0][rows], ws.field[1][rows]
-                term = ws.term[: len(psi)]
-                np.cos(psi, out=term)
-                term *= a
-                np.sin(psi, out=psi)
-                psi *= a
-                # term and psi become the running field sums re and im.
-                term += re_sum
-                psi += im_sum
-                if k < len(others) - 1:
-                    ws.field[0][rows] = term
-                    ws.field[1][rows] = psi
-                    continue
-                # Last emitter: the sample re^2 + im^2 - sum_i a_i^2 goes
-                # over reference rows that are no longer needed.
-                term *= term
-                psi *= psi
-                term += psi
-                np.subtract(term, self_terms, out=reference[rows])
+        chunks = _phase_chunks(system.emitters, omegas, du, gen, reference, ws.phase, ws.term)
+        for k, rows, psi in chunks:
+            if partners == 1:
+                # One partner: the sample 2 a0 a1 cos(psi1) goes over
+                # reference rows that are no longer needed.
+                np.cos(psi, out=psi)
+                np.multiply(psi, c[0, 1], out=reference[rows])
+                continue
+            if k == 1:
+                # The first of several partners keeps psi1 for the next pass.
+                ws.field[0][rows] = psi
+                continue
+            term = ws.term[: len(psi)]
+            if partners == 2:
+                # Two partners: the pair sum goes over the reference rows.
+                psi1 = ws.field[0][rows]
+                np.subtract(psi, psi1, out=term)
+                np.cos(term, out=term)
+                term *= c[1, 2]
+                np.cos(psi, out=psi)
+                psi *= c[0, 2]
+                np.cos(psi1, out=psi1)
+                psi1 *= c[0, 1]
+                psi1 += psi
+                np.add(psi1, term, out=reference[rows])
+                continue
+            if k == 2:
+                # The first partner's sums, formed as its own pass would
+                # have formed them, in the imaginary sums' rows.
+                re_sum, im_sum = ws.field[1][rows], ws.field[0][rows]
+                np.cos(im_sum, out=re_sum)
+                re_sum *= amplitudes[1]
+                re_sum += amplitudes[0]
+                np.sin(im_sum, out=im_sum)
+                im_sum *= amplitudes[1]
+            else:
+                re_sum, im_sum = ws.field[0][rows], ws.field[1][rows]
+            np.cos(psi, out=term)
+            term *= amplitudes[k]
+            np.sin(psi, out=psi)
+            psi *= amplitudes[k]
+            # term and psi become the running field sums re and im.
+            term += re_sum
+            psi += im_sum
+            if k < partners:
+                ws.field[0][rows] = term
+                ws.field[1][rows] = psi
+                continue
+            # Last emitter: the sample re^2 + im^2 - sum_i a_i^2 goes over
+            # reference rows that are no longer needed.
+            term *= term
+            psi *= psi
+            term += psi
+            np.subtract(term, self_terms, out=reference[rows])
 
-    if others:
-        mean, stderr = _sample_mean(rng, n_real, u.size, fill, len(others))
+    if partners:
+        mean, stderr = _sample_mean(rng, n_real, u.size, fill, partners)
     else:
         mean = stderr = np.zeros(u.size)
 

@@ -81,26 +81,32 @@ def g2(emitters, tau, n_real, seed, stream_id=0):
 
 
 # The oracle's sequential block loop on real phase differences, frozen as it
-# stood before its blocks were spread over threads, except that a single
-# partner's sample |a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2 is taken as
-# 2 a0 a1 cos(psi1), one cosine, as the oracle now takes it. The threaded
-# oracle must match it bit for bit, so the arithmetic here is kept operation
-# for operation: the same in-place steps in the same order on whole blocks.
+# stood before its blocks were spread over threads, with three later changes
+# that the oracle made and this loop follows:
+# - each emitter's phase is drawn as increments over the delay segments,
+#   z sqrt(2 gamma_pd du) + (omega + offset) du, and a partner's phase
+#   difference psi_k is one cumsum of its increments less the reference's;
+# - a single partner's sample |a0 + a1 exp(i psi1)|^2 - a0^2 - a1^2 is taken
+#   as 2 a0 a1 cos(psi1), one cosine;
+# - two partners' sample is the pair sum c01 cos(psi1) + c02 cos(psi2)
+#   + c12 cos(psi2 - psi1) with c_ij = 2 a_i a_j, three cosines.
+# The threaded oracle must match it bit for bit, so the arithmetic here is
+# kept operation for operation: the same in-place steps in the same order on
+# whole blocks.
 
 
-def _sequential_phases(e, omega, u, n, gen):
+def _sequential_increments(e, omega, du, n, gen):
     offsets = gen.normal(0.0, 2.0 * math.pi * e.sigma, size=(n, 1))
-    segments = np.diff(u, prepend=0.0)
-    phase = gen.normal(size=(n, u.size))
-    phase *= np.sqrt(2.0 * e.gamma_pd * segments)
-    np.cumsum(phase, axis=1, out=phase)
-    phase += (omega + offsets) * u
-    return phase
+    increments = gen.normal(size=(n, du.size))
+    increments *= np.sqrt(2.0 * e.gamma_pd * du)
+    increments += (omega + offsets) * du
+    return increments
 
 
 def sequential_g2(emitters, tau, n_real, seed, stream_id=0):
-    """(values, stderr) as the sequential real-phase loop computed them."""
+    """(values, stderr) as the sequential real-phase loop computes them."""
     u, inverse = np.unique(np.abs(np.asarray(tau, dtype=float)), return_inverse=True)
+    du = np.diff(u, prepend=0.0)
     weights = np.array([e.intensity for e in emitters])
     energies = np.array([e.energy for e in emitters])
     omegas = (energies - energies.mean()) / HBAR_UEV_NS
@@ -110,20 +116,33 @@ def sequential_g2(emitters, tau, n_real, seed, stream_id=0):
     total, total_sq = np.zeros(u.size), np.zeros(u.size)
     (e0, om0, a0), *others = zip(emitters, omegas, amplitudes)
     for size, gen in _blocks(n_real, seed, stream_id):
-        reference = _sequential_phases(e0, om0, u, size, gen)
+        reference = _sequential_increments(e0, om0, du, size, gen)
+        psis = []
+        for e, om, _ in others:
+            psi = _sequential_increments(e, om, du, size, gen)
+            psi -= reference
+            np.cumsum(psi, axis=1, out=psi)
+            psis.append(psi)
         if len(others) == 1:
-            ((e, om, a),) = others
-            re = _sequential_phases(e, om, u, size, gen)
-            re -= reference
+            (re,) = psis
             np.cos(re, out=re)
-            re *= 2.0 * a0 * a
+            re *= 2.0 * a0 * amplitudes[1]
+        elif len(others) == 2:
+            psi1, psi2 = psis
+            term = psi2 - psi1
+            np.cos(term, out=term)
+            term *= 2.0 * amplitudes[1] * amplitudes[2]
+            np.cos(psi2, out=psi2)
+            psi2 *= 2.0 * a0 * amplitudes[2]
+            re = np.cos(psi1)
+            re *= 2.0 * a0 * amplitudes[1]
+            re += psi2
+            re += term
         else:
             re = np.broadcast_to(a0, (size, u.size)).copy()
             im = np.zeros((size, u.size))
             term = np.empty((size, u.size))
-            for e, om, a in others:
-                psi = _sequential_phases(e, om, u, size, gen)
-                psi -= reference
+            for psi, a in zip(psis, amplitudes[1:]):
                 np.cos(psi, out=term)
                 term *= a
                 re += term

@@ -425,9 +425,9 @@ class TestCmdSimulate:
         sampled = []
         original = dk.montecarlo._phase_chunks
 
-        def recording(e, omega, u, *args):
-            sampled.append(u.size)
-            return original(e, omega, u, *args)
+        def recording(emitters, omegas, du, *args):
+            sampled.append(du.size)
+            return original(emitters, omegas, du, *args)
 
         monkeypatch.setattr(dk.montecarlo, "_phase_chunks", recording)
         config = self.simulate_config()

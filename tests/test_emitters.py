@@ -278,6 +278,7 @@ MALFORMED = {
     "repeated centers": "0.0\t1\n0.0\t5\n",
     "falling centers": "0.02\t1\n0.0\t5\n",
     "bad seed": "# seed = one\n" + ROWS,
+    "infinite window": "# normalization_window_ns = 5 inf\n" + ROWS,
     "bad resolution": "# resolution_fwhm_ueV = wide\n" + ROWS,
     "infinite delay": ROWS + "inf\t1\n",
     "infinite value": ROWS + "0.04\tinf\n",
@@ -292,6 +293,7 @@ CASES = [
     ("histogram", "repeated centers"),
     ("histogram", "falling centers"),
     ("histogram", "bad seed"),
+    ("histogram", "infinite window"),
     ("spectrum", "bad resolution"),
 ]
 

@@ -2,8 +2,9 @@
 
 ``mc_g2`` spreads its realization blocks over one worker per usable core.
 The result must be the sequential block loop's bit for bit at any worker
-count and for every pass order over the emitters (N = 5 has a pass after
-the rebuilt first partner that both reads and writes the running sums), so
+count and for every form of the sample (N = 2 and 3 write cosine sums over
+the reference increments; N = 5 has a pass after the rebuilt first
+partner that both reads and writes the running sums), so
 these tests compare with ``np.array_equal`` against the loop frozen in
 ``mc_reference.py``. The worker count is set by patching
 ``os.sched_getaffinity`` as the oracle sees it. A worker's memory is bounded
@@ -104,10 +105,10 @@ def workspace_bound(n, workers, n_delays):
     """Bytes the oracle's workspaces may take at N = n emitters.
 
     Per worker, with B = BLOCK_SIZE, C = CHUNK_ROWS and 8-byte doubles:
-    - the block arrays, min(N - 1, 3) x B x |u| x 8 B: the reference phases
-      (later the samples), from N = 3 on the first partner's phase
-      differences (later the running re sums), and from N = 4 on the
-      running im sums;
+    - the block arrays, min(N - 1, 3) x B x |u| x 8 B: the reference
+      increments (later the samples), from N = 3 on the first partner's
+      phase differences (at N >= 4 later the running re sums), and from
+      N = 4 on the running im sums;
     - the two chunk buffers of the other emitters, 2 x C x |u| x 8 B;
     - one emitter's column of B frequency offsets, B x 8 B;
     - 256 KiB for numpy's iterator buffers (8,192 elements per operand of a

@@ -131,6 +131,11 @@ class TestMcG2Arguments:
         with pytest.raises(dk.ParameterError, match="n_real"):
             dk.mc_g2(resonant_pair, self.TAU, n_real, dk.RngSeed(8))
 
+    @pytest.mark.parametrize("rng", [5, np.random.default_rng(5), None])
+    def test_rng_must_be_a_seed(self, resonant_pair, no_draws, rng):
+        with pytest.raises(dk.ParameterError, match=f"RngSeed, got {type(rng).__name__}"):
+            dk.mc_g2(resonant_pair, self.TAU, 1_000, rng)
+
     @pytest.mark.parametrize(
         "tau,message",
         [
