@@ -28,6 +28,7 @@ from .emitters import (
     G2Curve,
     Irf,
     _format_table,
+    _system_coherence,
     convolve_irf,
     g2_general,
     read_curve,
@@ -323,9 +324,9 @@ def _echo_config(config, outdir: Path) -> None:
 
 
 def _coherent_peak(system, tau_max=2.0):
-    """Height and FWHM (ns) of the interference excess, unconvolved."""
+    """Height and FWHM (ns) of the interference excess, the kernel's pair term, unconvolved."""
     tau = np.linspace(0.0, tau_max, 4001)
-    excess = g2_general(system, tau, True) - g2_general(system, tau, False)
+    excess = _system_coherence(system, tau)[1]
     height = excess[0]
     if height <= 0:
         return 0.0, 0.0

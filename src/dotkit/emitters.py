@@ -3,11 +3,15 @@
 Working units throughout the package: energies in ueV, times in ns,
 rates in 1/ns, detunings in rad/ns (energy difference divided by hbar).
 Spectral-diffusion widths are ordinary (not angular) frequencies in 1/ns.
+
+One coherence kernel, :func:`_coherence`, computes every analytic g2 in real arithmetic,
+for :func:`g2_general`, :func:`g2_ideal`, ``fitting._g2_columns`` and ``cli._coherent_peak``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -54,14 +58,13 @@ class Emitter:
     position: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # the fields, in order
+            if not math.isfinite(value):
+                raise ParameterError(f"emitter {name} must be finite, got {value}")
+            if value < 0 and name in ("gamma_pd", "sigma", "intensity"):
+                raise ParameterError(f"emitter {name} must be >= 0, got {value}")
         if not self.gamma > 0:
-            raise ParameterError(f"radiative rate must be > 0, got {self.gamma}")
-        if self.gamma_pd < 0:
-            raise ParameterError(f"dephasing rate must be >= 0, got {self.gamma_pd}")
-        if self.sigma < 0:
-            raise ParameterError(f"diffusion width must be >= 0, got {self.sigma}")
-        if self.intensity < 0:
-            raise ParameterError(f"intensity must be >= 0, got {self.intensity}")
+            raise ParameterError(f"emitter gamma (radiative rate) must be > 0, got {self.gamma}")
 
     @property
     def total_dephasing(self) -> float:
@@ -205,21 +208,50 @@ class Irf:
         return self.fwhm / GAUSSIAN_FWHM_SIGMA
 
 
-def _interference(t, omegas, rates, sigmas, weights):
-    """Pair sum ``sum_{i!=j} w_i w_j Re[a_i conj(a_j)]`` at delays ``t >= 0``,
-    ``a_i = exp(-rate_i t - 2 pi^2 sigma_i^2 t^2 + i omega_i t)``, taken as
-    ``|sum_i w_i a_i|^2 - sum_i w_i^2 |a_i|^2``: O(N) work per delay and
-    O(len(t)) memory. At ``omega == 0``, cos = 1 and sin = 0 exactly."""
-    field_re, field_im, power = np.zeros((3,) + t.shape)
-    for omega, rate, sigma, w in zip(omegas, rates, sigmas, weights):
-        amplitude = w * np.exp(-rate * t - 2.0 * math.pi**2 * sigma**2 * t**2)
-        power += amplitude**2
-        if omega:
-            field_re += amplitude * np.cos(omega * t)
-            field_im += amplitude * np.sin(omega * t)
-        else:
-            field_re += amplitude
-    return field_re**2 + field_im**2 - power
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with a whole value."""
+    whole = isinstance(value, numbers.Integral)
+    if not (whole or isinstance(value, float) and value.is_integer()):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _coherence(t, gammas, omegas, rates, sigmas, weights, coherent=True, ladder=False):
+    """The coherence kernel: decay and pair of g2 = 1 - decay + pair at
+    delays ``t >= 0``, from per-emitter decay rates, detunings (rad/ns),
+    coherence rates, diffusion widths and weights w_i that sum to 1:
+    decay = sum_i w_i^2 exp(-gamma_i t). With the amplitudes
+    a_i = exp(-rate_i t - 2 pi^2 sigma_i^2 t^2 + i omega_i t) and the field
+    F = sum_i w_i a_i, pair = sum_{i!=j} w_i w_j Re[a_i conj(a_j)] is taken
+    as |F|^2 - sum_i w_i^2 |a_i|^2 in real arithmetic, O(N) work per delay
+    in O(len(t)) memory; it is 0 without ``coherent`` or with one emitter.
+    ``ladder`` appends Re F, Im F, Re G and Im G, G = sum_k k w_k a_k.
+    """
+    decay = sum(w**2 * np.exp(-gamma * t) for gamma, w in zip(gammas, weights))
+    sums = np.zeros((4 if ladder else 2,) + t.shape)  # Re F, Im F[, Re G, Im G]
+    power = np.zeros_like(t)  # sum_i w_i^2 |a_i|^2
+    if coherent and len(weights) > 1:
+        for k, (omega, rate, sigma, w) in enumerate(zip(omegas, rates, sigmas, weights)):
+            amplitude = w * np.exp(-rate * t - 2.0 * math.pi**2 * sigma**2 * t**2)
+            power += amplitude**2
+            parts = (amplitude,)  # Re and Im of w_k a_k; at omega == 0, Im is 0 exactly
+            if omega:
+                parts = (amplitude * trig(omega * t) for trig in (np.cos, np.sin))
+            for j, part in enumerate(parts):
+                sums[j] += part
+                if ladder:
+                    sums[2 + j] += k * part
+                del part  # one part alive at a time: the generator makes the next
+    pair = sums[0] ** 2 + sums[1] ** 2 - power
+    return (decay, pair, *sums) if ladder else (decay, pair)
+
+
+def _system_coherence(system: EmitterSystem, t, coherent=True, ladder=False):
+    """:func:`_coherence` of a system; detunings from its first emitter keep phases small."""
+    e0 = system.emitters[0].energy
+    columns = zip(*((e.gamma, (e.energy - e0) / HBAR_UEV_NS, e.total_dephasing, e.sigma)
+                    for e in system.emitters))
+    return _coherence(t, *columns, system.intensities / system.intensities.sum(), coherent, ladder)
 
 
 def g2_ideal(
@@ -235,9 +267,8 @@ def g2_ideal(
     Evaluates
     ``[1 - exp(-gamma |tau|)/n]
     + exp(-2 Gamma |tau| - 4 pi^2 sigma^2 tau^2)/n^2 * sum_{i!=j} cos(d_ij tau)``
-    where Gamma is the per-emitter coherence decay rate gamma/2 + gamma_pd.
-    The pair sum is ``|sum_i a_i|^2 - sum_i |a_i|^2``, ``a_i = exp(-Gamma |tau|
-    - 2 pi^2 sigma^2 tau^2 + i d_i0 tau)``, with emitter 0 as reference energy.
+    where Gamma is the per-emitter coherence decay rate gamma/2 + gamma_pd,
+    by :func:`_coherence` with weights 1/n and detunings d_i0.
 
     Parameters
     ----------
@@ -252,57 +283,38 @@ def g2_ideal(
         Pair detunings d_ij = omega_i - omega_j in rad/ns; omitted means all
         emitters resonant. Any other matrix raises ParameterError.
     """
+    n = _whole_number(n, "emitter count")
     if n < 1:
         raise ParameterError(f"emitter count must be >= 1, got {n}")
-    if not gamma > 0:
-        raise ParameterError(f"radiative rate must be > 0, got {gamma}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ParameterError(f"radiative rate must be finite and > 0, got {gamma}")
+    for name, rate in (("total_dephasing", total_dephasing), ("diffusion_sigma", diffusion_sigma)):
+        if not (rate >= 0 and math.isfinite(rate)):
+            raise ParameterError(f"{name} must be finite and >= 0, got {rate}")
     t = np.abs(np.asarray(tau, dtype=float))
     d = np.zeros((n, n)) if detunings is None else np.asarray(detunings, dtype=float)
     if d.shape != (n, n) or not np.abs(d - d[:, :1] + d[:, 0]).max() <= 1e-12 * np.abs(d).max():
         raise ParameterError(f"detunings must be an ({n}, {n}) matrix d_ij = omega_i - omega_j")
-    pair_sum = _interference(t, d[:, 0], [total_dephasing] * n, [diffusion_sigma] * n, [1.0] * n)
-    out = 1.0 - np.exp(-gamma * t) / n + pair_sum / n**2
+    rates, sigmas, weights = [total_dephasing] * n, [diffusion_sigma] * n, [1.0 / n] * n
+    decay, pair = _coherence(t, [gamma] * n, d[:, 0], rates, sigmas, weights)
+    out = 1.0 - decay + pair
     return out if np.ndim(tau) else float(out)
 
 
 def g2_general(system: EmitterSystem, tau, coherent: bool = True):
-    """g2(tau) for arbitrary rates, linewidths and intensities.
-
-    The incoherent part is ``1 - sum_i I_i^2 exp(-gamma_i |tau|) / (sum I)^2``;
-    with ``coherent`` the pairwise interference
-    ``sum_{i!=j} I_i I_j Re[a_i conj(a_j)] / (sum I)^2`` is added, with
-    ``a_i = exp(-(gamma_i/2 + gamma_pd_i)|tau| - 2 pi^2 sigma_i^2 tau^2
-    + i (E_i - E_ref) tau / hbar)``, evaluated in O(N) per delay as
-    ``|sum_i I_i a_i|^2 - sum_i I_i^2 |a_i|^2``. ``E_ref`` is the first
-    emitter's energy, which keeps phases small for absolute energies near
-    1.3 eV. ``coherent=False`` gives the distinguishable-emitter baseline.
+    """g2(tau) for arbitrary rates, linewidths and intensities: 1 - decay + pair
+    of :func:`_coherence` with weights I_i / sum(I), coherence rates
+    gamma_i/2 + gamma_pd_i and detunings (E_i - E_0) / hbar from the first
+    emitter. ``coherent=False`` drops the pair term: the distinguishable-emitter baseline.
     """
-    t = np.abs(np.asarray(tau, dtype=float))
-    weights = system.intensities
-    total = weights.sum()
-    if total <= 0:
-        raise ParameterError("total intensity must be > 0")
-    out = np.ones_like(t)
-    for e, w in zip(system.emitters, weights):
-        out = out - (w / total) ** 2 * np.exp(-e.gamma * t)
-    if coherent and len(system) > 1:
-        omegas = (system.energies - system.emitters[0].energy) / HBAR_UEV_NS
-        rates, sigmas = zip(*((e.total_dephasing, e.sigma) for e in system.emitters))
-        out = out + _interference(t, omegas, rates, sigmas, weights) / total**2
+    decay, pair = _system_coherence(system, np.abs(np.asarray(tau, dtype=float)), coherent)
+    out = 1.0 - decay + pair
     return out if np.ndim(tau) else float(out)
 
 
-def g2_curve(
-    system: EmitterSystem,
-    tau_grid: np.ndarray,
-    coherent: bool = True,
-    irf: Irf | None = None,
-) -> G2Curve:
-    """Model curve on a grid, optionally blurred by the instrument response."""
-    curve = G2Curve(np.asarray(tau_grid, dtype=float), g2_general(system, tau_grid, coherent))
-    if irf is not None:
-        curve = convolve_irf(curve, irf)
-    return curve
+def g2_curve(system: EmitterSystem, tau_grid: np.ndarray, coherent: bool = True) -> G2Curve:
+    """Model curve on a grid; :func:`convolve_irf` blurs it with a timing response."""
+    return G2Curve(np.asarray(tau_grid, dtype=float), g2_general(system, tau_grid, coherent))
 
 
 def gaussian_kernel(step: float, fwhm: float, n_sigma: float = 6.0) -> np.ndarray:

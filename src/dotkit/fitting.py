@@ -6,9 +6,10 @@ Jacobian at the optimum. g2 fits, single or joint, minimize the
 error-weighted sum of squares between data and the forward model
 (convolved with the timing response) from the guess plus randomized
 restarts. Their Jacobian is exact: a fit parameter acts on all emitters
-alike, so each column is a piece of the model times a power of the delay
-(``_g2_columns``), blurred and read at the data delays as the model is;
-the same pass gives the model, so each solver point costs one pass per curve.
+alike, so each column is a piece of the model times a power of the delay,
+blurred and read at the data delays as the model is. Model and columns
+(``_g2_columns``) read one pass of the coherence kernel that g2_general
+reads, so each solver point costs one kernel pass per curve.
 A spectrum holding one line is fit as a pseudo-Voigt profile over a
 constant background, from one start on its tallest sample, with an
 analytic Jacobian; having no per-point errors, its covariance is scaled
@@ -30,6 +31,7 @@ from .emitters import (
     Irf,
     _blur,
     _format_table,
+    _system_coherence,
     g2_general,
     gaussian_kernel,
     identical_system,
@@ -165,36 +167,22 @@ def _g2_columns(system: EmitterSystem, t: np.ndarray, coherent: bool) -> dict[st
     """The g2 model's derivative by each fit parameter at delays ``t >= 0``,
     keyed by name; ``scale`` maps to the unscaled model itself.
 
-    The model is 1 - decay + pair, with weights w_i = I_i / sum(I),
-    decay = sum w_i^2 exp(-gamma_i t), the amplitudes a_i of
-    :func:`g2_general`, the field F = sum w_i a_i and
-    pair = |F|^2 - sum w_i^2 |a_i|^2. A fit parameter moves every emitter
-    alike, so each derivative is a piece of the model times a factor of t:
+    All of them read one pass of the coherence kernel
+    (:func:`dotkit.emitters._coherence`), which gives the model
+    1 - decay + pair, the field F and the ladder sum G = sum k w_k a_k in
+    real and imaginary parts. A fit parameter moves every emitter alike, so
+    each derivative is a piece of the model times a factor of t:
     d/dgamma_pd = -2 t pair, d/dsigma = -8 pi^2 sigma t^2 pair,
     d/dgamma = t (decay - pair) and, emitter k sitting k delta above
-    emitter 0, d/ddelta = -(2 t / hbar) Im(conj(F) G) with the ladder sum
-    G = sum k w_k a_k.
+    emitter 0, d/ddelta = -(2 t / hbar) (Re F Im G - Im F Re G).
     """
-    weights = system.intensities / system.intensities.sum()
-    interfere = coherent and len(system) > 1
-    field, ladder = np.zeros((2,) + t.shape, dtype=complex)
-    decay, power = np.zeros((2,) + t.shape)
-    for k, (e, w) in enumerate(zip(system.emitters, weights)):
-        decay += w**2 * np.exp(-e.gamma * t)
-        if interfere:
-            magnitude = w * np.exp(-e.total_dephasing * t - 2.0 * math.pi**2 * e.sigma**2 * t**2)
-            power += magnitude**2
-            omega = (e.energy - system.emitters[0].energy) / HBAR_UEV_NS
-            amplitude = magnitude * np.exp(1j * omega * t) if omega else magnitude
-            field += amplitude
-            ladder += k * amplitude
-    pair = field.real**2 + field.imag**2 - power
+    decay, pair, f_re, f_im, g_re, g_im = _system_coherence(system, t, coherent, ladder=True)
     return {
         "gamma": t * (decay - pair),
         "gamma_pd": -2.0 * t * pair,
         # A free sigma is every emitter's sigma.
         "sigma": -8.0 * math.pi**2 * system.emitters[0].sigma * t**2 * pair,
-        "delta_ueV": -2.0 * t / HBAR_UEV_NS * (field.conj() * ladder).imag,
+        "delta_ueV": -2.0 * t / HBAR_UEV_NS * (f_re * g_im - f_im * g_re),
         "scale": 1.0 - decay + pair,
     }
 

@@ -37,7 +37,6 @@ bin law, so it costs the same for any number of events.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +51,7 @@ from .emitters import (
     Irf,
     _format_table,
     _read_table,
+    _whole_number,
     convolve_irf,
     gaussian_kernel,
 )
@@ -100,6 +100,11 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return RngSeed(int(rng)).generator()
     raise ParameterError(f"cannot interpret {rng!r} as a random generator")
+
+
+def _require_seed(rng) -> None:
+    if not isinstance(rng, RngSeed):
+        raise ParameterError(f"rng must be an RngSeed, got {type(rng).__name__}")
 
 
 @dataclass(frozen=True)
@@ -193,14 +198,6 @@ def _phase_chunks(emitters, omegas, du, gen, reference, chunk, drift):
         del rates
 
 
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int: an integer, or a float with a whole value."""
-    whole = isinstance(value, numbers.Integral)
-    if not (whole or isinstance(value, float) and value.is_integer()):
-        raise ParameterError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _block_sizes(n_real: int) -> list[int]:
     sizes = [BLOCK_SIZE] * (n_real // BLOCK_SIZE)
     if n_real % BLOCK_SIZE:
@@ -278,8 +275,7 @@ def mc_g2(
     so the two sides of a grid that is exactly symmetric about zero share
     their draws. ``rng`` must be an :class:`RngSeed`.
     """
-    if not isinstance(rng, RngSeed):
-        raise ParameterError(f"rng must be an RngSeed, got {type(rng).__name__}")
+    _require_seed(rng)
     n_real = _whole_number(n_real, "n_real")
     if n_real < 100:
         raise ParameterError(f"need n_real >= 100, got {n_real}")
@@ -387,8 +383,9 @@ def sample_coincidences(
     them) blurred with the IRF's Gaussian jitter and conditioned on
     [-window, +window]: the counts are one multinomial draw from the bin
     probabilities of that law, so the cost does not grow with ``n_events``.
-    A whole float such as ``1e5`` counts as an event count.
+    A whole float such as ``1e5`` counts as an event count; ``rng`` must be an :class:`RngSeed`.
     """
+    _require_seed(rng)
     if window <= 0:
         raise EmptyWindowError(f"window must be > 0, got {window}")
     if not math.isfinite(window):

@@ -266,6 +266,39 @@ class TestCmdModel:
         assert run_cli("model", "--config", path, "--out", str(out)) == 0
         assert read_summary(out / "summary.txt")["g2_zero_after_irf"] <= 0.55
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_resonant_coherent_peak(self, tmp_path, n):
+        # N resonant emitters of equal intensity: the interference excess is
+        # (1 - 1/N) exp(-g(t)), g(t) = 2 Gamma t + 4 pi^2 sigma^2 t^2, so its
+        # height is 1 - 1/N and its FWHM 2 t_half with g(t_half) = ln 2.
+        config = model_config()
+        config["system"]["emitters"] = config["system"]["emitters"][:n]
+        path = write_yaml(tmp_path / "model.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("model", "--config", path, "--out", str(out)) == 0
+        summary = read_summary(out / "summary.txt")
+        assert summary["coherent_peak_height"] == pytest.approx(1.0 - 1.0 / n, rel=1e-9)
+
+        rate, curvature = 2.0 * (0.5 * 1.4 + 2.5), 4.0 * np.pi**2 * 1.0**2
+        t_half = (-rate + np.sqrt(rate**2 + 4.0 * curvature * np.log(2.0))) / (2.0 * curvature)
+        # The half-maximum crossing is interpolated linearly on the 0.5 ps
+        # grid h. The chord misses f = exp(-g) by at most h^2/8 max|f''|, which
+        # moves the crossing by at most that over min|f'|, both taken on the
+        # bracket t_half +- h; the FWHM doubles it. %.10g adds 1e-9 relative.
+        h = 2.0 / 4000
+
+        def g(t):
+            return rate * t + curvature * t**2
+
+        def slope(t):
+            return rate + 2.0 * curvature * t
+
+        lo, hi = t_half - h, t_half + h
+        f2_max = (slope(hi) ** 2 + 2.0 * curvature) * np.exp(-g(lo))
+        f1_min = slope(lo) * np.exp(-g(hi))
+        tolerance = 2.0 * h**2 / 8.0 * f2_max / f1_min + 1e-9 * 2.0 * t_half
+        assert abs(summary["coherent_peak_fwhm_ns"] - 2.0 * t_half) <= tolerance
+
     def test_symmetric_grid_keeps_outputs(self, tmp_path):
         # The grid is linspace made exactly antisymmetric; that moves some
         # delays by one ulp, which the 10-digit columns must not show

@@ -27,6 +27,22 @@ class TestEmitterTypes:
         with pytest.raises(dk.ParameterError):
             dk.Emitter(energy=0.0, gamma=1.0, intensity=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("energy", math.nan),
+            ("gamma", math.inf),
+            ("gamma_pd", math.nan),
+            ("sigma", math.inf),
+            ("intensity", math.nan),
+            ("position", -math.inf),
+        ],
+    )
+    def test_rejects_non_finite_field(self, name, value):
+        fields = {"energy": 0.0, "gamma": 1.0, name: value}
+        with pytest.raises(dk.ParameterError, match=f"emitter {name} must be finite"):
+            dk.Emitter(**fields)
+
     def test_total_dephasing(self):
         e = dk.Emitter(energy=0.0, gamma=REF_GAMMA, gamma_pd=REF_GAMMA_PD)
         assert e.total_dephasing == pytest.approx(0.35 + 2.5)
@@ -126,6 +142,32 @@ class TestG2Ideal:
             dk.g2_ideal(0.0, 0, 1.0, 1.0, 0.0)
         with pytest.raises(dk.ParameterError):
             dk.g2_ideal(0.0, 2, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, gamma, total_dephasing, diffusion_sigma, message",
+        [
+            (2.5, 1.0, 1.0, 0.0, "emitter count must be a whole number"),
+            ("2", 1.0, 1.0, 0.0, "emitter count must be a whole number"),
+            (2, math.inf, 1.0, 0.0, "radiative rate"),
+            (2, math.nan, 1.0, 0.0, "radiative rate"),
+            (2, 1.0, -1.0, 0.0, "total_dephasing"),
+            (2, 1.0, math.nan, 0.0, "total_dephasing"),
+            (2, 1.0, math.inf, 0.0, "total_dephasing"),
+            (2, 1.0, 1.0, -0.1, "diffusion_sigma"),
+            (2, 1.0, 1.0, math.nan, "diffusion_sigma"),
+            (2, 1.0, 1.0, math.inf, "diffusion_sigma"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, n, gamma, total_dephasing, diffusion_sigma, message):
+        # A negative coherence rate would make the pair term grow as exp(|rate| tau).
+        with pytest.raises(dk.ParameterError, match=message):
+            dk.g2_ideal(0.5, n, gamma, total_dephasing, diffusion_sigma)
+
+    def test_whole_float_count_and_slow_coherence_accepted(self):
+        # A whole float counts as n; a coherence rate below gamma/2 is a
+        # valid (if unphysical) input, which the detuned-reference tests draw.
+        assert dk.g2_ideal(0.5, 2.0, 1.0, 3.0, 1.0) == dk.g2_ideal(0.5, 2, 1.0, 3.0, 1.0)
+        assert math.isfinite(dk.g2_ideal(0.5, 2, 4.0, 0.5, 0.0))
 
     def test_even_in_tau(self):
         tau = np.linspace(0.0, 3.0, 31)

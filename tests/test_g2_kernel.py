@@ -1,11 +1,14 @@
-"""The factorized coherence kernel behind ``g2_general`` and ``g2_ideal``.
+"""The one coherence kernel, ``emitters._coherence``, and its four readers.
 
-Both functions sum the interference of all ordered emitter pairs through
-|sum_i I_i a_i|^2 - sum_i I_i^2 |a_i|^2, one pass over the emitters. These
+The kernel sums the interference of all ordered emitter pairs through
+|sum_i w_i a_i|^2 - sum_i w_i^2 |a_i|^2, one pass over the emitters, in real
+arithmetic. ``g2_general``, ``g2_ideal``, the fit's Jacobian columns
+(``fitting._g2_columns``) and the CLI's coherent peak all read it. These
 properties hold it to ``bench/reference.py``, an independent pairwise
 evaluation written from the formula, at absolute energies near 1.3 eV where
 the phases are taken relative to a reference energy, and for up to 64
-emitters.
+emitters, and hold the fit's model to ``g2_general`` bit for bit. The CLI's
+peak is checked against its closed form in ``test_cli.py``.
 """
 
 import importlib.util
@@ -71,6 +74,17 @@ def test_even_in_tau_and_flat_at_long_delay(system, tau):
         )
         assert dk.g2_general(system, 50.0, coherent) == pytest.approx(1.0, abs=1e-9)
         assert dk.g2_general(system, -50.0, coherent) == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), tau=delays)
+def test_fit_model_is_g2_general_to_the_bit(system, tau):
+    # The fit's model, the scale column of fitting._g2_columns, and
+    # g2_general read the same kernel pass, so they agree exactly.
+    _, system = system
+    for coherent in (True, False):
+        columns = dk.fitting._g2_columns(system, np.abs(tau), coherent)
+        np.testing.assert_array_equal(columns["scale"], dk.g2_general(system, tau, coherent))
 
 
 @settings(max_examples=30, deadline=None)

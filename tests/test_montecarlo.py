@@ -243,6 +243,18 @@ class TestSampleCoincidences:
         with pytest.raises(dk.ParameterError, match=message):
             dk.sample_coincidences(model, irf=irf_100ps, rng=dk.RngSeed(0), **args)
 
+    @pytest.mark.parametrize("rng", [5, np.random.default_rng(5), None])
+    def test_rng_must_be_a_seed(self, monkeypatch, irf_100ps, rng):
+        # The same check as mc_g2's, made before the bin law is computed.
+        def fail(*args):
+            raise AssertionError("the bin law was computed")
+
+        monkeypatch.setattr(montecarlo, "_bin_law", fail)
+        grid = np.linspace(-12.0, 12.0, 401)
+        flat = dk.G2Curve(grid, np.ones_like(grid))
+        with pytest.raises(dk.ParameterError, match=f"RngSeed, got {type(rng).__name__}"):
+            dk.sample_coincidences(flat, 100, 10.0, irf_100ps, rng)
+
     def test_event_count_preserved_with_redraws(self, irf_100ps):
         grid = np.arange(-3, 3.001, 0.01)
         flat = dk.G2Curve(grid, np.ones_like(grid))
