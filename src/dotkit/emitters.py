@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarseError, ParameterError
+from .errors import GridCoverageError, GridTooCoarseError, ParameterError
 
 # Reduced Planck constant in working units (ueV * ns).
 HBAR_UEV_NS = 0.6582119569
@@ -27,6 +27,9 @@ HBAR_UEV_NS = 0.6582119569
 PLANCK_UEV_NS = 2.0 * math.pi * HBAR_UEV_NS
 # FWHM / standard-deviation ratio of a Gaussian, 2*sqrt(2*ln 2).
 GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+# Widest spectral diffusion (1/ns) the coherence kernel takes: its 2 pi^2 sigma^2
+# overflows a float above 3e153, and at t = 0 an infinite one would make 0 * inf.
+_MAX_SIGMA = 1e150
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,6 @@ class Emitter:
     def total_dephasing(self) -> float:
         """Coherence decay rate gamma/2 + gamma_pd in 1/ns."""
         return 0.5 * self.gamma + self.gamma_pd
-
-    def shifted(self, delta_energy: float) -> "Emitter":
-        """Copy of this emitter with the transition moved by ``delta_energy`` ueV."""
-        return replace(self, energy=self.energy + delta_energy)
 
 
 @dataclass(frozen=True)
@@ -225,12 +224,17 @@ def _coherence(t, gammas, omegas, rates, sigmas, weights, coherent=True, ladder=
     F = sum_i w_i a_i, pair = sum_{i!=j} w_i w_j Re[a_i conj(a_j)] is taken
     as |F|^2 - sum_i w_i^2 |a_i|^2 in real arithmetic, O(N) work per delay
     in O(len(t)) memory; it is 0 without ``coherent`` or with one emitter.
+    A pair term with a sigma above ``_MAX_SIGMA`` is a ParameterError.
     ``ladder`` appends Re F, Im F, Re G and Im G, G = sum_k k w_k a_k.
     """
     decay = sum(w**2 * np.exp(-gamma * t) for gamma, w in zip(gammas, weights))
     sums = np.zeros((4 if ladder else 2,) + t.shape)  # Re F, Im F[, Re G, Im G]
     power = np.zeros_like(t)  # sum_i w_i^2 |a_i|^2
     if coherent and len(weights) > 1:
+        if max(sigmas) > _MAX_SIGMA:
+            raise ParameterError(
+                f"diffusion width sigma must be <= {_MAX_SIGMA:g} /ns, got {max(sigmas):g}"
+            )
         for k, (omega, rate, sigma, w) in enumerate(zip(omegas, rates, sigmas, weights)):
             amplitude = w * np.exp(-rate * t - 2.0 * math.pi**2 * sigma**2 * t**2)
             power += amplitude**2
@@ -337,14 +341,24 @@ def _blur(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def convolve_irf(curve: G2Curve, irf: Irf) -> G2Curve:
     """Blur a model curve with the Gaussian timing response.
 
-    The grid must be uniform with step <= fwhm/5. Ends are padded with the
-    edge values, so a flat plateau is preserved exactly.
+    The grid must be uniform with step <= fwhm/5, and the kernel's +-6 sigma
+    must fit in the grid's span (fwhm <= 0.392 span): a tap beyond it would
+    only ever meet the padding. Ends are padded with the edge values, so a
+    flat plateau is preserved exactly.
     """
     step = curve.step
     if step > irf.fwhm / 5.0 + 1e-12:
         raise GridTooCoarseError(
             f"grid step {step:g} ns too coarse for IRF fwhm {irf.fwhm:g} ns "
             f"(need step <= fwhm/5)"
+        )
+    # gaussian_kernel's half width in steps, checked before it is allocated.
+    if 6.0 * irf.sigma / step > curve.delays.size - 1:
+        span = curve.delays[-1] - curve.delays[0]
+        raise GridCoverageError(
+            f"IRF fwhm {irf.fwhm:g} ns too wide for a {span:g} ns grid of "
+            f"{curve.delays.size} points: its kernel's +-6 sigma ({6.0 * irf.sigma:g} ns) "
+            f"must fit in the span (need fwhm <= 0.392 span)"
         )
     return G2Curve(curve.delays.copy(), _blur(curve.values, gaussian_kernel(step, irf.fwhm)))
 

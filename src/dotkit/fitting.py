@@ -118,21 +118,24 @@ class FitResult:
         return {name: est.value for name, est in self.estimates.items()}
 
 
-def _build_system(spec: FitSpec, params: Mapping[str, float]) -> EmitterSystem:
-    """The emitters at ``params``. The ideal model's base is ``n`` emitters
-    of unit rate at one energy, so both models place emitter k at k delta."""
+def _base_system(spec: FitSpec) -> EmitterSystem:
+    """The emitters the fit parameters act on: for the ideal model ``n`` of
+    unit rate at one energy, for the general model ``spec.base_system``."""
     if spec.model == "ideal":
-        base = identical_system(int(spec.fixed["n"]), 1.0)
-    else:
-        base = spec.base_system
+        return identical_system(int(spec.fixed["n"]), 1.0)
+    return spec.base_system
+
+
+def _build_system(base: EmitterSystem, params: Mapping[str, float]) -> EmitterSystem:
+    """``base`` at ``params``, one new Emitter per emitter: the rates
+    ``params`` names, and emitter k at k delta above the reference."""
     delta = params.get("delta_ueV")
     updates = {name: params[name] for name in ("gamma", "gamma_pd", "sigma") if name in params}
     emitters = []
     for k, e in enumerate(base.emitters):
-        emitter = replace(e, **updates) if updates else e
         if delta is not None:
-            emitter = emitter.shifted(base.reference_energy + k * delta - e.energy)
-        emitters.append(emitter)
+            updates["energy"] = e.energy + (base.reference_energy + k * delta - e.energy)
+        emitters.append(replace(e, **updates) if updates else e)
     return EmitterSystem(tuple(emitters), base.reference_energy)
 
 
@@ -159,7 +162,7 @@ def evaluate_fit_model(spec: FitSpec, params: Mapping[str, float], delays) -> np
     """Forward model at the given delays, IRF included when the spec has one."""
     delays = np.asarray(delays, dtype=float)
     grid, kernel = _model_grid(spec, delays)
-    shape = g2_general(_build_system(spec, params), grid, spec.coherent)
+    shape = g2_general(_build_system(_base_system(spec), params), grid, spec.coherent)
     return params.get("scale", 1.0) * _observe(shape, grid, kernel, delays)
 
 
@@ -328,19 +331,21 @@ class _CurveTerm:
 
     ``columns`` maps each of the curve's free parameters to its column in
     the joint parameter vector of ``width`` entries. The model grid and
-    timing kernel are made once, as the curve's delays never change.
+    timing kernel are made once, as the curve's delays never change, and so
+    are the emitters the parameters act on.
     """
 
     def __init__(self, data: G2Curve, spec: FitSpec, columns: Mapping[str, int], width: int):
         self.data, self.spec, self.columns, self.width = data, spec, columns, width
         self.grid, self.kernel = _model_grid(spec, data.delays)
+        self.base = _base_system(spec)
 
     def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Residuals and Jacobian rows at ``theta`` from one column pass,
         whose ``scale`` column is the unscaled model."""
         params = dict(self.spec.fixed)
         params.update((name, theta[j]) for name, j in self.columns.items())
-        system = _build_system(self.spec, params)
+        system = _build_system(self.base, params)
         columns = _g2_columns(system, np.abs(self.grid), self.spec.coherent)
         data, scale = self.data, params.get("scale", 1.0)
         observed = {

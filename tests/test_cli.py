@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import dotkit as dk
-from dotkit.cli import _build_grid, _oracle_report, main, parse_config
+from dotkit.cli import (
+    _build_grid,
+    _build_system,
+    _coherent_peak,
+    _oracle_report,
+    main,
+    parse_config,
+)
+from dotkit.emitters import _format_table, _system_coherence
 
 E0 = 1_300_000.0
 
@@ -314,6 +322,123 @@ class TestCmdModel:
         assert [row[1] for row in rows] == [f"{v:.10g}" for v in g2]
         blurred = dk.convolve_irf(dk.G2Curve(tau, g2), dk.Irf(0.1)).values
         np.testing.assert_allclose([float(row[2]) for row in rows], blurred, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_points", [2, 3, 60, 61, 6001])
+    def test_curve_is_the_whole_grid_pass(self, tmp_path, n_points):
+        # cmd_model runs the kernel on the grid's upper half and mirrors it;
+        # the table must be that of one pass over the whole grid, byte for byte.
+        config = model_config(grid={"tau_max_ns": 3.0, "n_points": n_points})
+        del config["irf_fwhm_ns"]
+        config["system"]["emitters"] = [
+            {"energy": 0.0, "gamma": 1.4, "gamma_pd": 2.5, "sigma": 1.0},
+            {"energy": 20.0, "gamma": 0.7, "gamma_pd": 0.5, "sigma": 0.3, "intensity": 2.0},
+            {"energy": 46.0, "gamma": 1.9, "sigma": 1.5, "intensity": 0.5},
+        ]
+        path = write_yaml(tmp_path / "model.yaml", config)
+        out = tmp_path / "out"
+        assert run_cli("model", "--config", path, "--out", str(out)) == 0
+        typed = parse_config(config)
+        grid = _build_grid(typed)
+        values = dk.g2_general(_build_system(typed), grid)
+        expected = _format_table(["# tau_ns\tg2"], "%.10g\t%.10g", [grid, values])
+        assert (out / "curve.tsv").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "keys, value, category",
+        [
+            (("irf_fwhm_ns",), 1e300, "grid"),
+            (("irf_fwhm_ns",), 2.36, "grid"),
+            (("grid", "tau_max_ns"), 1e-300, "grid"),
+            (("system", "emitters", 1, "sigma"), 1e200, "parameter"),
+        ],
+        ids=["irf-1e300", "irf-past-bound", "tau-max-1e-300", "sigma-1e200"],
+    )
+    def test_schema_valid_extremes_end_in_one_error_line(
+        self, tmp_path, capsys, keys, value, category
+    ):
+        # A 2-emitter pair on a +-3 ns, 601-point grid; the IRF's +-6 sigma
+        # must fit in the 6 ns span (fwhm <= 2.3548 ns here).
+        config = model_config(grid={"tau_max_ns": 3.0, "n_points": 601})
+        config["system"]["emitters"] = config["system"]["emitters"][:2]
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = write_yaml(tmp_path / "model.yaml", config)
+        assert run_cli("model", "--config", path, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{category}:")
+        assert err.count("\n") == 1
+
+
+def whole_grid_peak(system):
+    """``_coherent_peak`` as one kernel pass over its whole 4001-point grid."""
+    tau = np.linspace(0.0, 2.0, 4001)
+    excess = _system_coherence(system, tau)[1]
+    height = excess[0]
+    if height <= 0:
+        return 0.0, 0.0
+    below = np.nonzero(excess <= 0.5 * height)[0]
+    if below.size == 0:
+        return float(height), float("inf")
+    m = below[0]
+    t_half = np.interp(0.5 * height, excess[[m, m - 1]], tau[[m, m - 1]])
+    return float(height), float(2.0 * t_half)
+
+
+@st.composite
+def peak_systems(draw):
+    """1-8 emitters over 0-500 ueV with slow to fast decays: crossings in
+    every head of the peak grid, and none within 2 ns."""
+    count = draw(st.integers(1, 8))
+    spread = draw(st.sampled_from([0.0, 5.0, 500.0]))
+    emitter = st.builds(
+        dk.Emitter,
+        energy=st.floats(0.0, 1.0).map(lambda u: E0 + spread * u),
+        gamma=st.floats(0.02, 4.0),
+        gamma_pd=st.just(0.0) | st.floats(0.0, 3.0),
+        sigma=st.just(0.0) | st.floats(0.0, 1.0),
+        intensity=st.floats(0.2, 3.0),
+    )
+    return dk.EmitterSystem(tuple(draw(st.lists(emitter, min_size=count, max_size=count))))
+
+
+class TestCoherentPeak:
+    """``_coherent_peak`` reads growing heads of its grid; the result must be
+    that of the whole grid, to the bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=peak_systems())
+    def test_equals_whole_grid_pass(self, system):
+        assert _coherent_peak(system) == whole_grid_peak(system)
+
+    # A resonant pair with gamma_pd = sigma = 0 has excess exp(-gamma t)/2,
+    # crossing its half at ln 2 / gamma on the 0.5 ps grid.
+    @pytest.mark.parametrize(
+        "gamma, index",
+        [
+            (np.log(2.0) / 0.12775, 256),  # the first point past the first, 256-point head
+            (3.0, 463),  # in the second, 1024-point head
+            (1.4, 991),
+            (0.6, 2311),  # in the third head, the whole grid
+            (0.3, None),  # ln 2 / 0.3 = 2.31 ns: no crossing within 2 ns
+            (0.05, None),
+        ],
+    )
+    def test_resonant_pair(self, gamma, index):
+        pair = dk.identical_system(2, gamma)
+        height, fwhm = _coherent_peak(pair)
+        assert (height, fwhm) == whole_grid_peak(pair)
+        assert height == 0.5
+        if index is None:
+            assert fwhm == float("inf")
+        else:
+            tau = np.linspace(0.0, 2.0, 4001)
+            assert tau[index - 1] < fwhm / 2 <= tau[index]
+            assert fwhm == pytest.approx(2.0 * np.log(2.0) / gamma, rel=1e-5)
+
+    def test_one_emitter_has_no_peak(self):
+        assert _coherent_peak(dk.identical_system(1, 1.4, 2.5, 1.0)) == (0.0, 0.0)
 
 
 # Plain "scipy" is loaded by any import of scipy, so probing it checks them all.

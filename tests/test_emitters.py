@@ -238,6 +238,18 @@ class TestConvolveIrf:
         with pytest.raises(dk.GridTooCoarseError):
             dk.convolve_irf(curve, irf_100ps)
 
+    @pytest.mark.parametrize("factor, fits", [(0.999, True), (1.001, False)])
+    def test_kernel_must_fit_in_the_span(self, factor, fits):
+        # A 601-point, 6 ns grid holds a kernel of +-600 steps: 6 sigma <= 6 ns.
+        grid = np.linspace(-3.0, 3.0, 601)
+        curve = dk.G2Curve(grid, np.ones_like(grid))
+        irf = dk.Irf(factor * dk.GAUSSIAN_FWHM_SIGMA)  # sigma = factor ns
+        if fits:
+            np.testing.assert_allclose(dk.convolve_irf(curve, irf).values, 1.0, atol=1e-12)
+        else:
+            with pytest.raises(dk.GridCoverageError, match="must fit in the span"):
+                dk.convolve_irf(curve, irf)
+
     def test_resonant_pair_peak_against_quadrature(self, resonant_pair, irf_100ps, fine_grid):
         # Independent oracle: direct quadrature of the Gaussian blur at tau=0.
         sigma = irf_100ps.sigma

@@ -147,6 +147,22 @@ def test_ideal_rejects_wrong_detuning_shape():
         dk.g2_ideal(0.5, 2, 1.0, 3.0, 1.0, np.zeros(2))
 
 
+def test_pair_term_bounds_sigma():
+    # 2 pi^2 sigma^2 overflows a float above 3e153; the kernel takes sigma up
+    # to 1e150 and rejects a wider one wherever it computes a pair term.
+    tau = np.array([-1.0, 0.0, 1.0])
+    assert np.all(np.isfinite(dk.g2_general(dk.identical_system(2, 1.0, 0.0, 1e150), tau)))
+    wide = dk.identical_system(2, 1.0, 0.0, 1e200)
+    with pytest.raises(dk.ParameterError, match="sigma must be <= 1e\\+150"):
+        dk.g2_general(wide, tau)
+    with pytest.raises(dk.ParameterError, match="sigma must be <= 1e\\+150"):
+        dk.g2_ideal(tau, 2, 1.0, 0.5, 1e200)
+    # No pair term, no bound: one emitter, or the incoherent baseline.
+    narrow = dk.identical_system(2, 1.0)
+    np.testing.assert_array_equal(dk.g2_general(wide, tau, False), dk.g2_general(narrow, tau, False))
+    assert dk.g2_general(dk.identical_system(1, 1.0, 0.0, 1e200), 0.0) == 0.0
+
+
 def test_memory_does_not_grow_with_emitter_count():
     # The kernel accumulates into O(len(tau)) buffers; an (N, len(tau))
     # array at N = 64 would take 64 x 6,001 x 16 B = 6.1 MB.
